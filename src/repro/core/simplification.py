@@ -35,7 +35,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..db.database import Database
 from ..db.graph import all_graphs
-from ..logic.evaluation import evaluate
+from ..logic.evaluation import FamilyModel
 from ..logic.normalform import simplify as syntactic_simplify
 from ..logic.signature import EMPTY_SIGNATURE, Signature
 from ..logic.syntax import And, Formula, Or, TOP, make_and, make_or
@@ -50,13 +50,16 @@ def equivalent_under(
     databases: Iterable[Database],
     signature: Signature = EMPTY_SIGNATURE,
 ) -> bool:
-    """Does ``invariant |= (left <-> right)`` hold on every listed database?"""
-    for db in databases:
-        if not evaluate(invariant, db, signature=signature):
-            continue
-        if evaluate(left, db, signature=signature) != evaluate(right, db, signature=signature):
-            return False
-    return True
+    """Does ``invariant |= (left <-> right)`` hold on every listed database?
+
+    The three sentences are checked on the whole family at once with a
+    :class:`~repro.logic.evaluation.FamilyModel`: each yields a bitmask of
+    the members it holds in, and the answer is
+    ``mask(invariant) & (mask(left) ^ mask(right)) == 0``: one walk per
+    sentence instead of one evaluation per (sentence, database).
+    """
+    family = FamilyModel(databases, signature)
+    return (family.mask(invariant) & (family.mask(left) ^ family.mask(right))) == 0
 
 
 @dataclass
@@ -107,27 +110,28 @@ class BoundedSimplifier:
         else:
             self.databases = list(all_graphs(max_nodes))
         self.signature = signature
+        self._family = FamilyModel(self.databases, signature)
 
     # -- public API --------------------------------------------------------------
 
     def simplify(self, invariant: Formula, precondition: Formula) -> SimplificationResult:
         """A ``Delta`` with ``invariant |= (Delta <-> precondition)`` on the family."""
         candidates = self._candidates(invariant, precondition)
-        best = precondition
+        holds = self._family.mask(invariant)
+        target = self._family.mask(precondition)
+        best, best_mask = precondition, target
         for candidate in candidates:
             if candidate.size() >= best.size():
                 continue
-            if equivalent_under(invariant, candidate, precondition, self.databases, self.signature):
-                best = candidate
-        verified = equivalent_under(
-            invariant, best, precondition, self.databases, self.signature
-        )
+            mask = self._family.mask(candidate)
+            if (holds & (mask ^ target)) == 0:
+                best, best_mask = candidate, mask
         return SimplificationResult(
             original=precondition,
             simplified=best,
             invariant=invariant,
             family_size=len(self.databases),
-            verified=verified,
+            verified=(holds & (best_mask ^ target)) == 0,
         )
 
     # -- candidate generation -------------------------------------------------------
@@ -167,15 +171,7 @@ class BoundedSimplifier:
     # -- bounded semantic checks ------------------------------------------------------
 
     def _implied_by(self, invariant: Formula, formula: Formula) -> bool:
-        return all(
-            evaluate(formula, db, signature=self.signature)
-            for db in self.databases
-            if evaluate(invariant, db, signature=self.signature)
-        )
+        return (self._family.mask(invariant) & ~self._family.mask(formula)) == 0
 
     def _satisfiable_with(self, invariant: Formula, formula: Formula) -> bool:
-        return any(
-            evaluate(formula, db, signature=self.signature)
-            for db in self.databases
-            if evaluate(invariant, db, signature=self.signature)
-        )
+        return (self._family.mask(invariant) & self._family.mask(formula)) != 0

@@ -519,8 +519,9 @@ def classify_preservation(
     """
     from ..db.graph import all_graphs
     from ..db.schema import GRAPH_SCHEMA
+    from ..logic.evaluation import FamilyModel
     from ..logic.syntax import TOP
-    from .simplification import BoundedSimplifier, equivalent_under
+    from .simplification import BoundedSimplifier
 
     if not isinstance(constraint, Formula):
         return PreservationVerdict(
@@ -537,14 +538,15 @@ def classify_preservation(
         databases = list(all_graphs(3)) if schema == GRAPH_SCHEMA else []
     else:
         databases = list(databases)
-    if databases and equivalent_under(
-        constraint, precondition, TOP, databases, signature
-    ):
-        return PreservationVerdict(
-            "static", None, precondition,
-            "invariant implies wpc on the verification family",
-            family_size=len(databases),
-        )
+    if databases:
+        # alpha |= wpc on the family: one bit-parallel walk per sentence
+        family = FamilyModel(databases, signature)
+        if (family.mask(constraint) & ~family.mask(precondition)) == 0:
+            return PreservationVerdict(
+                "static", None, precondition,
+                "invariant implies wpc on the verification family",
+                family_size=len(databases),
+            )
     if databases and simplify_guard:
         simplified = BoundedSimplifier(
             databases=databases, signature=signature

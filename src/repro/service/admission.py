@@ -126,9 +126,12 @@ class AdmissionController:
             if cached is not None:
                 return dict(cached)
         verdicts: Dict[str, PreservationVerdict] = {}
+        family = self.family if self.family is not None else self._default_family(
+            template
+        )
         with _trace.span("service.admission.classify", template=template.name):
             for constraint in self.constraints:
-                verdicts[constraint.name] = self._classify(template, constraint)
+                verdicts[constraint.name] = self._classify(template, constraint, family)
         with self._lock:
             self._templates[template.name] = template
             self._verdicts[template.name] = verdicts
@@ -137,49 +140,53 @@ class AdmissionController:
         return dict(verdicts)
 
     def _classify(
-        self, template: TransactionTemplate, constraint: Constraint
+        self,
+        template: TransactionTemplate,
+        constraint: Constraint,
+        family: Sequence[Database],
     ) -> PreservationVerdict:
         """One (template, constraint) verdict: worst sample wins."""
         worst: Optional[PreservationVerdict] = None
+        preconditions: List[Formula] = []
         for params in template.samples:
             verdict = classify_preservation(
                 template.build(*params),
                 constraint.formula,
-                databases=self.family,
+                databases=family,
                 signature=self.signature,
                 # the controller supplies its own (verified) parametric
                 # guards or per-instance wpcs — skip the simplification sweep
                 simplify_guard=False,
             )
+            preconditions.append(verdict.precondition)
             if worst is None or _MODE_RANK[verdict.mode] > _MODE_RANK[worst.mode]:
                 worst = verdict
         assert worst is not None
         if worst.precondition is not None:
             constraint.register_precondition(template.name, worst.precondition)
         if worst.mode == "guarded":
-            self._verify_template_guard(template, constraint)
+            self._verify_template_guard(template, constraint, preconditions, family)
         return worst
 
     def _verify_template_guard(
-        self, template: TransactionTemplate, constraint: Constraint
+        self,
+        template: TransactionTemplate,
+        constraint: Constraint,
+        preconditions: Sequence[Formula],
+        family: Sequence[Database],
     ) -> None:
         """Check a hand-written parametric guard against the true wpc.
 
-        A guard that is not equivalent to the weakest precondition under the
-        invariant (on the family, for every sample) is silently dropped — the
-        controller then falls back to per-instance ``wpc`` computation, which
-        is always sound.
+        ``preconditions`` are the samples' ``wpc``s, as computed by
+        classification.  A guard that is not equivalent to the weakest
+        precondition under the invariant (on the family, for every sample) is
+        silently dropped — the controller then falls back to per-instance
+        ``wpc`` computation, which is always sound.
         """
         builder = template.guards.get(constraint.name)
         if builder is None or not isinstance(constraint.formula, Formula):
             return
-        family = self.family if self.family is not None else self._default_family(
-            template
-        )
-        for params in template.samples:
-            precondition = weakest_precondition(
-                template.build(*params), constraint.formula
-            )
+        for params, precondition in zip(template.samples, preconditions):
             if not equivalent_under(
                 constraint.formula,
                 builder(*params),

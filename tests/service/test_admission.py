@@ -122,6 +122,50 @@ class TestController:
         guard = controller.guard_for("bogus-add-edge", constraints[0], (2, 2))
         assert guard != TOP  # fell back to the real wpc
 
+    def test_standard_templates_keep_their_hand_guards(self):
+        # a family check that evaluated wrongly would drop these silently and
+        # fall back to per-instance wpc guards
+        controller = AdmissionController(standard_constraints())
+        link, unlink, add_edge = standard_templates()
+        for template in (link, unlink, add_edge):
+            controller.register(template)
+        assert set(link.guards) == {"no-triangles"}
+        assert set(add_edge.guards) == {"no-loops", "no-triangles"}
+        no_triangles = controller.constraints[1]
+        assert controller.guard_for("link-forward", no_triangles, (4, 5)) == (
+            link.guards["no-triangles"](4, 5)
+        )
+
+    def test_registration_computes_each_wpc_and_family_once(self, monkeypatch):
+        import repro.core.wpc as wpc_module
+        import repro.db.graph as graph_module
+        import repro.service.admission as admission_module
+
+        calls = {"wpc": 0, "family": 0}
+        real_wpc, real_all_graphs = (
+            wpc_module.weakest_precondition,
+            graph_module.all_graphs,
+        )
+
+        def counting_wpc(*args):
+            calls["wpc"] += 1
+            return real_wpc(*args)
+
+        def counting_all_graphs(*args, **kwargs):
+            calls["family"] += 1
+            return real_all_graphs(*args, **kwargs)
+
+        monkeypatch.setattr(wpc_module, "weakest_precondition", counting_wpc)
+        monkeypatch.setattr(admission_module, "weakest_precondition", counting_wpc)
+        monkeypatch.setattr(graph_module, "all_graphs", counting_all_graphs)
+        controller = AdmissionController(standard_constraints())
+        templates = standard_templates()
+        for template in templates:
+            controller.register(template)
+        # one wpc per (template, sample, constraint), one family per template
+        assert calls["wpc"] == 2 * sum(len(t.samples) for t in templates)
+        assert calls["family"] == len(templates)
+
     def test_guard_for_unregistered_template_raises(self):
         from repro.service import ServiceError
 

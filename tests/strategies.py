@@ -31,11 +31,12 @@ from repro.logic.syntax import (
     Forall,
     Iff,
     Implies,
+    InterpretedAtom,
     Not,
     Or,
     TOP,
 )
-from repro.logic.terms import Const
+from repro.logic.terms import Const, Func, Var
 
 __all__ = [
     "VARIABLES",
@@ -46,6 +47,7 @@ __all__ = [
     "terms",
     "atoms",
     "equalities",
+    "interpreted_leaves",
     "base_formulas",
     "formulas",
     "sentences",
@@ -140,10 +142,31 @@ def equalities(constants: bool = True):
     )
 
 
-def base_formulas(constants: bool = True, nullary: bool = True):
+def interpreted_leaves(constants: bool = True):
+    """Leaves over :func:`~repro.logic.signature.arithmetic_signature`.
+
+    ``succ`` terms inside atoms and equalities, and the ``lt`` / ``even``
+    predicates — evaluate them with that signature.
+    """
+    term = terms(constants).map(
+        lambda spec: Var(spec) if isinstance(spec, str) else _mk_term(spec)
+    )
+    return st.one_of(
+        st.tuples(term, term).map(lambda p: Atom("E", Func("succ", p[0]), p[1])),
+        st.tuples(term, term).map(lambda p: Eq(Func("succ", p[0]), p[1])),
+        st.tuples(term, term).map(lambda p: InterpretedAtom("lt", *p)),
+        term.map(lambda t: InterpretedAtom("even", t)),
+    )
+
+
+def base_formulas(
+    constants: bool = True, nullary: bool = True, interpreted: bool = False
+):
     leaves = [atoms(constants), equalities(constants)]
     if nullary:
         leaves.extend([st.just(TOP), st.just(BOTTOM)])
+    if interpreted:
+        leaves.append(interpreted_leaves(constants))
     return st.one_of(leaves)
 
 
@@ -153,6 +176,7 @@ def formulas(
     constants: bool = True,
     implications: bool = True,
     nullary: bool = True,
+    interpreted: bool = False,
     max_leaves: int = 8,
 ):
     """Random formulas over the graph schema.
@@ -162,7 +186,8 @@ def formulas(
     formulas, ``implications=False`` drops ``->``/``<->`` (for suites that
     exercise only the And/Or/Not fragment), ``nullary=False`` drops the
     ``true``/``false`` leaves (for syntactic properties that constant folding
-    would defeat, e.g. rank preservation).
+    would defeat, e.g. rank preservation), ``interpreted=True`` adds the
+    :func:`interpreted_leaves` (evaluate under the arithmetic signature).
     """
 
     def extend(children):
@@ -191,7 +216,7 @@ def formulas(
         return st.one_of(options)
 
     return st.recursive(
-        base_formulas(constants, nullary), extend, max_leaves=max_leaves
+        base_formulas(constants, nullary, interpreted), extend, max_leaves=max_leaves
     )
 
 
