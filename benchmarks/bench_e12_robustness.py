@@ -137,9 +137,9 @@ def test_e12_optimizer_beats_naive(benchmark, graphs_2):
     }
     print(f"BENCH-METRIC {json.dumps(payload, sort_keys=True)}")
     benchmark.extra_info.update(payload)
-    if compiled.optimizer_mode != "off" and os.environ.get("REPRO_BACKEND", "compiled") in (
-        "compiled", "compiled-delta", "compiled-nodelta", ""
-    ):
+    if compiled.optimizer_mode != "off" and os.environ.get(
+        "REPRO_BACKEND", "compiled"
+    ) in ("compiled", ""):
         assert speedup >= 1.0, (
             f"compiled engine regressed below the interpreter on E12: {speedup}x"
         )

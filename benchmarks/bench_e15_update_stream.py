@@ -9,7 +9,7 @@ maintenance workload but at a per-update granularity.
 Under ``REPRO_BACKEND=compiled`` (delta evaluation on, the default) every
 re-check walks the post-state's ``apply_delta`` provenance and re-derives the
 compiled plan node by node from the previous result — O(delta) work.  Under
-``compiled-nodelta`` the same engine re-executes the full plan per update —
+``REPRO_DELTA=off`` the same engine re-executes the full plan per update —
 O(database) work.  ``benchmarks/run_all.py`` runs this file under both (plus
 ``naive`` for the small oracle case) and records ``delta_speedup`` in the
 ``BENCH_<rev>.json`` trajectory; the asymptotic claim is that the ratio grows

@@ -50,12 +50,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 # the experiments dominated by formula evaluation (the engine's hot paths)
 QUICK = (
-    "e09", "e12", "e13", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22",
+    "e09", "e12", "e13", "e15", "e16", "e17", "e18", "e20", "e21", "e22",
 )
-# per-experiment extra backends beyond the requested ones: the update-stream
-# experiment A/Bs the compiled engine with delta evaluation off, so the
-# trajectory records the incremental win (``delta_speedup``) explicitly
-EXTRA_BACKENDS = {"e15": ("compiled-nodelta",)}
+# per-experiment extra legs beyond the requested backends, as (row label,
+# backend, environment): the update-stream experiment re-runs the compiled
+# engine under REPRO_DELTA=off, so the trajectory records the incremental
+# win (``delta_speedup``) explicitly
+DELTA_OFF = "compiled-delta-off"
+EXTRA_LEGS = {"e15": ((DELTA_OFF, "compiled", {"REPRO_DELTA": "off"}),)}
 # per-experiment backend restriction: the service experiment compares the
 # concurrent pipeline against a serial baseline *inside* one process, the
 # sharded experiment sweeps its own shard-count matrix internally, and the
@@ -65,7 +67,6 @@ ONLY_BACKENDS = {
     "e16": ("compiled",),
     "e17": ("compiled",),
     "e18": ("compiled",),
-    "e19": ("compiled",),
     # the durability experiment measures the storage engine (WAL appends,
     # fsyncs, recovery replay); the query backend never runs
     "e20": ("compiled",),
@@ -99,16 +100,10 @@ STRICT_BASELINE_KEYS = {
 METRICS_OVERHEAD_FLOOR = 0.97
 
 #: per-experiment *metric* ratios additionally gated by ``--baseline``:
-#: (metric name, field) pairs read from ``row["metrics"]``.  Process-mode
-#: ratios are hardware-shaped, so a pair is only compared when both runs
-#: recorded the same ``cpus`` — a baseline from a different runner is not
-#: a regression oracle for IPC-vs-GIL trade-offs
+#: (metric name, field) pairs read from ``row["metrics"]``.  A pair is
+#: skipped when the two runs recorded different ``cpus`` — a baseline from
+#: a different runner is not a regression oracle for hardware-shaped ratios
 BASELINE_METRICS = {
-    "e19": (
-        ("e19-cold-scaling", "procs4_vs_threads4"),
-        ("e19-cold-scaling", "procs4_vs_compiled"),
-        ("e19-join-heavy", "procs4_vs_threads4"),
-    ),
     # deterministic (replay counts, not wall time): checkpoints must keep
     # shrinking recovery work by the same factor
     "e20": (("e20-checkpoint-recovery", "replay_reduction"),),
@@ -151,11 +146,12 @@ def run_one(
     env = dict(os.environ)
     env["REPRO_BACKEND"] = backend
     # an inherited REPRO_DELTA or REPRO_OPTIMIZER would silently corrupt
-    # the A/Bs: the backend name alone must decide what the trajectory
-    # measures (benchmarks that sweep the optimizer construct their own
-    # backends explicitly); likewise an ambient REPRO_METRICS/REPRO_TRACE
-    # would skew timings, so observability is pinned per run (metrics on by
-    # default, tracing off — the overhead gate passes REPRO_METRICS=off)
+    # the A/Bs: the backend name and the leg's own ``extra_env`` alone must
+    # decide what the trajectory measures (benchmarks that sweep the
+    # optimizer construct their own backends explicitly); likewise an
+    # ambient REPRO_METRICS/REPRO_TRACE would skew timings, so observability
+    # is pinned per run (metrics on by default, tracing off — the overhead
+    # gate passes REPRO_METRICS=off)
     env.pop("REPRO_DELTA", None)
     env.pop("REPRO_OPTIMIZER", None)
     env.pop("REPRO_METRICS", None)
@@ -316,7 +312,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-extra-backends", action="store_true",
-        help="skip the per-experiment extra backends (e.g. compiled-nodelta for e15)",
+        help="skip the per-experiment extra legs (e.g. compiled under "
+        "REPRO_DELTA=off for e15)",
     )
     parser.add_argument(
         "--no-overhead-gate", action="store_true",
@@ -367,25 +364,24 @@ def main(argv=None) -> int:
         only = ONLY_BACKENDS.get(experiment)
         if only is not None:
             exp_backends = [b for b in exp_backends if b in only] or list(only)
+        legs = [(backend, backend, None) for backend in exp_backends]
         if not args.no_extra_backends:
-            for extra in EXTRA_BACKENDS.get(experiment, ()):
-                if extra not in exp_backends:
-                    exp_backends.append(extra)
-        for backend in exp_backends:
+            legs.extend(EXTRA_LEGS.get(experiment, ()))
+        for label, backend, extra_env in legs:
             outcome = run_one(
                 experiments[experiment], backend, args.timeout,
-                args.seed, args.jobs,
+                args.seed, args.jobs, extra_env=extra_env,
             )
-            row[backend] = outcome["seconds"]
+            row[label] = outcome["seconds"]
             row.setdefault("ok", True)
             row["ok"] = row["ok"] and outcome["ok"]
             if outcome["metrics"]:
                 row.setdefault("metrics", {}).update(outcome["metrics"])
             if outcome["obs"]:
-                row.setdefault("obs", {})[backend] = outcome["obs"]
+                row.setdefault("obs", {})[label] = outcome["obs"]
             all_ok = all_ok and outcome["ok"]
             print(
-                f"{experiment:<5} {backend:<16} {outcome['seconds']:>8.2f}s  "
+                f"{experiment:<5} {label:<18} {outcome['seconds']:>8.2f}s  "
                 f"{'ok' if outcome['ok'] else 'FAIL: ' + outcome['summary']}"
             )
         if (
@@ -424,8 +420,8 @@ def main(argv=None) -> int:
         if "naive" in row and "compiled" in row and row["compiled"] > 0:
             row["speedup"] = round(row["naive"] / row["compiled"], 2)
             print(f"{experiment:<5} speedup  {row['speedup']:>7.2f}x")
-        if "compiled-nodelta" in row and "compiled" in row and row["compiled"] > 0:
-            row["delta_speedup"] = round(row["compiled-nodelta"] / row["compiled"], 2)
+        if DELTA_OFF in row and "compiled" in row and row["compiled"] > 0:
+            row["delta_speedup"] = round(row[DELTA_OFF] / row["compiled"], 2)
             print(f"{experiment:<5} delta-speedup  {row['delta_speedup']:>7.2f}x")
         results[experiment] = row
 

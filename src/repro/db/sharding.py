@@ -13,8 +13,7 @@ account id of a ledger row), so all rows about one entity live on one shard:
   shard (:func:`split_delta`), so :meth:`Database.apply_delta` advances only
   the touched shards and every untouched shard is carried over **as the same
   object** — which is what makes shard-level result caching in
-  :class:`repro.engine.parallel.ShardedBackend` O(touched shards), and what a
-  later multi-process deployment will ship over the wire.
+  :class:`repro.engine.parallel.ShardedBackend` O(touched shards).
 
 The merged view *is* the sharded database: ``ShardedDatabase`` subclasses
 ``Database`` and keeps the full relations, so every existing consumer
@@ -48,7 +47,6 @@ __all__ = [
     "shard_of",
     "split_delta",
     "ShardedDatabase",
-    "ShardStateMachine",
 ]
 
 Row = Tuple[object, ...]
@@ -288,79 +286,3 @@ class ShardedDatabase(Database):
     def __repr__(self) -> str:
         return f"Sharded[{self._num_shards}]{super().__repr__()}"
 
-
-class ShardStateMachine:
-    """Worker-side shard state: the db half of the shard-state protocol.
-
-    A process-mode worker (:mod:`repro.engine.executors`) owns a subset of a
-    sharded database's shards *persistently*: the coordinator attaches each
-    shard once and thereafter ships only :class:`Delta` wire values, so a
-    re-check after a commit transfers ``O(|delta|)``, never whole relations.
-    This class is that state, kept deliberately free of any engine or IPC
-    machinery so it can be tested (and reused — e.g. by a durable WAL
-    replayer) in isolation:
-
-    ``attach``
-        install a full shard database under an index (first contact, or
-        recovery after the coordinator lost track of the worker's state);
-    ``apply``
-        advance one shard by a delta (accepts a :class:`Delta` or its
-        :meth:`~repro.db.delta.Delta.to_wire` form);
-    ``shard`` / ``sizes``
-        read access for task execution and stats reporting;
-    ``evict``
-        drop one shard or all of them (cache-pressure relief).
-
-    Each held shard is tagged with the coordinator-assigned *state id* the
-    protocol uses to agree on what the worker holds without shipping or
-    hashing contents.
-    """
-
-    __slots__ = ("_shards", "_state_ids")
-
-    def __init__(self) -> None:
-        self._shards: Dict[int, Database] = {}
-        self._state_ids: Dict[int, object] = {}
-
-    def attach(self, index: int, db: Database, state_id: object = None) -> None:
-        self._shards[index] = db
-        self._state_ids[index] = state_id
-
-    def apply(self, index: int, delta, state_id: object = None) -> None:
-        if not isinstance(delta, Delta):
-            delta = Delta.from_wire(delta)
-        try:
-            held = self._shards[index]
-        except KeyError:
-            raise DatabaseError(
-                f"no shard attached at index {index}; attach before apply"
-            ) from None
-        self._shards[index] = held.apply_delta(delta)
-        self._state_ids[index] = state_id
-
-    def shard(self, index: int) -> Database:
-        try:
-            return self._shards[index]
-        except KeyError:
-            raise DatabaseError(
-                f"no shard attached at index {index}; attach before use"
-            ) from None
-
-    def state_id(self, index: int) -> object:
-        """The coordinator-assigned id of the held state (None if unheld)."""
-        return self._state_ids.get(index)
-
-    def indexes(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._shards))
-
-    def sizes(self) -> Dict[int, int]:
-        """Row count per held shard (the stats-protocol payload)."""
-        return {index: db.cardinality() for index, db in sorted(self._shards.items())}
-
-    def evict(self, index: Optional[int] = None) -> None:
-        if index is None:
-            self._shards.clear()
-            self._state_ids.clear()
-        else:
-            self._shards.pop(index, None)
-            self._state_ids.pop(index, None)

@@ -32,6 +32,12 @@ Crash points and their recovery:
   the checkpoint version.
 * mid-checkpoint → the temp file never renamed; recovery uses the previous
   checkpoint (or the empty state) plus the intact log.
+
+**One writer per directory.**  An engine holds an exclusive ``flock`` on
+``<dir>/LOCK`` (which names the holder's pid) from open until ``close()``
+or ``crash()``; a second opener fails fast with :class:`StorageEngineError`
+instead of interleaving frames with the first.  A killed holder's lock is
+released by the kernel, so recovery after ``SIGKILL`` needs no clean-up.
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ import warnings
 import weakref
 import zlib
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts run unlocked
+    fcntl = None
 
 from .. import faults as _faults
 from ..obs import metrics as _metrics
@@ -82,6 +93,7 @@ _KIND_BATCH = 0x44       # "D": one committed (version, delta) batch
 _KIND_CHECKPOINT = 0x53  # "S": one full (version, relations) snapshot
 
 _WAL_NAME = "wal.log"
+_LOCK_NAME = "LOCK"
 _CHECKPOINT_PREFIX = "checkpoint-"
 _CHECKPOINT_SUFFIX = ".snap"
 
@@ -143,8 +155,46 @@ def _canonical_relations(relations: Mapping[str, FrozenSet[Row]]) -> Tuple:
     )
 
 
+def _lock_directory(directory: str) -> Optional[int]:
+    """Take the directory's writer lock; returns the descriptor holding it.
+
+    Non-blocking: when another engine (in this or any other process) holds
+    the lock, raise :class:`StorageEngineError` naming the holder's pid.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX
+        return None
+    path = os.path.join(directory, _LOCK_NAME)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        try:
+            holder = os.read(fd, 32).decode("ascii", "replace").strip()
+        finally:
+            os.close(fd)
+        raise StorageEngineError(
+            f"WAL directory {directory!r} is locked by pid {holder or '?'}; "
+            "a WAL directory has exactly one writer"
+        ) from None
+    try:
+        os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+    except OSError:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _release_lock(state: Dict[str, object]) -> None:
+    fd = state.get("lock")
+    if fd is not None:
+        state["lock"] = None
+        os.close(fd)  # closing the only descriptor drops the flock
+
+
 def _cleanup(state: Dict[str, object]) -> None:
-    """Close the WAL handle and drop ephemeral directories (finalizer-safe).
+    """Close the WAL handle, release the writer lock and drop ephemeral
+    directories (finalizer-safe).
 
     Runs via ``weakref.finalize`` when an engine is garbage collected without
     :meth:`WalStorageEngine.close` — the net that keeps the full-suite
@@ -158,6 +208,7 @@ def _cleanup(state: Dict[str, object]) -> None:
             handle.close()
         except Exception:  # noqa: BLE001 - nothing to do at GC time
             pass
+    _release_lock(state)
     if state.get("ephemeral"):
         shutil.rmtree(str(state["dir"]), ignore_errors=True)
 
@@ -165,15 +216,18 @@ def _cleanup(state: Dict[str, object]) -> None:
 class WalStorageEngine(StorageEngine):
     """Durable delta WAL + snapshot checkpoints in one directory.
 
-    ``directory`` is created if missing and owns three kinds of files:
+    ``directory`` is created if missing and owns four kinds of files:
     ``wal.log`` (the current log segment), ``checkpoint-<version>.snap``
     (the newest snapshot; older ones are deleted after a successful
-    checkpoint) and transient ``*.tmp`` files from interrupted checkpoints.
+    checkpoint), transient ``*.tmp`` files from interrupted checkpoints, and
+    ``LOCK`` (the writer lock, holding the owner's pid).
 
-    One engine instance belongs to exactly one store; the engine takes its
-    own lock around file mutation, so a store shared across threads (the
-    service's group-commit leader runs in whichever worker thread takes the
-    commit lock) appends safely.
+    One engine instance belongs to exactly one store, and one live engine
+    owns a directory: opening a second one on it raises
+    :class:`StorageEngineError`.  The engine takes its own lock around file
+    mutation, so a store shared across threads (the service's group-commit
+    leader runs in whichever worker thread takes the commit lock) appends
+    safely.
     """
 
     name = "wal"
@@ -239,6 +293,7 @@ class WalStorageEngine(StorageEngine):
         # file descriptor or (for ephemeral engines) the directory
         self._state: Dict[str, object] = {
             "file": None,
+            "lock": _lock_directory(self.directory),
             "dir": self.directory,
             "ephemeral": _ephemeral,
         }
@@ -626,11 +681,11 @@ class WalStorageEngine(StorageEngine):
     def crash(self) -> None:
         """Testing hook: die without the orderly close.
 
-        Drops the file handle exactly as an abrupt process death would leave
-        the directory — every acked append is already flushed to the OS, any
-        torn tail the test wants must be carved with direct file truncation.
-        Ephemeral directories are *not* removed: the point of crashing is to
-        recover from what is left.
+        Drops the file handle and the writer lock exactly as an abrupt
+        process death would leave the directory — every acked append is
+        already flushed to the OS, any torn tail the test wants must be
+        carved with direct file truncation.  Ephemeral directories are *not*
+        removed: the point of crashing is to recover from what is left.
         """
         with self._lock:
             self._closed = True
@@ -642,6 +697,7 @@ class WalStorageEngine(StorageEngine):
                     handle.close()
                 except OSError:
                     pass
+            _release_lock(self._state)
 
     def stats(self) -> Dict[str, object]:
         with self._lock:

@@ -921,15 +921,13 @@ class CompiledBackend(Backend):
 # ---------------------------------------------------------------------------
 
 #: Names accepted by :func:`backend_from_name` (and ``REPRO_BACKEND``).
-BACKEND_NAMES = ("naive", "compiled", "compiled-delta", "compiled-nodelta", "sharded")
+BACKEND_NAMES = ("naive", "compiled", "sharded")
 
 
 def backend_from_name(name: str) -> Backend:
     """Instantiate a backend by its registry name (see :data:`BACKEND_NAMES`).
 
-    ``compiled-delta`` / ``compiled-nodelta`` are the compiled engine with
-    incremental delta evaluation forced on / off regardless of
-    ``REPRO_DELTA`` (the benchmarks use them to A/B the update fast path).
+    Incremental delta evaluation is switched by ``REPRO_DELTA`` alone.
     ``sharded`` is the hash-partitioned parallel engine; its shard count
     comes from ``REPRO_SHARDS`` (default 4).
     """
@@ -938,10 +936,6 @@ def backend_from_name(name: str) -> Backend:
         return NaiveBackend()
     if normalized in ("compiled", "engine", "plans"):
         return CompiledBackend()
-    if normalized == "compiled-delta":
-        return CompiledBackend(delta="on")
-    if normalized == "compiled-nodelta":
-        return CompiledBackend(delta="off")
     if normalized in ("sharded", "parallel"):
         from .parallel import ShardedBackend
 

@@ -110,14 +110,6 @@ class OptimizerParams:
     joins pay ``|small side| * shards`` to replicate — which is exactly what
     makes the reorderer pick join orders that keep the partition column in
     the join key for as long as possible (the repartition point).
-
-    ``executor`` names how the sharded backend runs per-shard tasks.
-    Under ``"procs"`` co-partitioned operators *really* divide their work
-    across cores (not just across GIL-bound threads), and every broadcast
-    or repartition additionally pays an explicit serialization term —
-    ``ship_cost`` per replicated row — because the replicated side crosses
-    a process boundary instead of being shared memory.  Thread-mode
-    costing is unchanged.
     """
 
     __slots__ = (
@@ -125,8 +117,6 @@ class OptimizerParams:
         "num_shards",
         "partition_column",
         "naive_margin",
-        "executor",
-        "ship_cost",
     )
 
     def __init__(
@@ -135,8 +125,6 @@ class OptimizerParams:
         num_shards: int = 1,
         partition_column: int = 0,
         naive_margin: float = 2.0,
-        executor: str = "threads",
-        ship_cost: float = 0.25,
     ):
         self.dp_cap = dp_cap
         self.num_shards = num_shards
@@ -144,14 +132,6 @@ class OptimizerParams:
         # a plan must be costed worse than `naive_margin` x the interpreter
         # before the backend abandons it for naive evaluation
         self.naive_margin = naive_margin
-        self.executor = executor
-        self.ship_cost = ship_cost
-
-    def broadcast_factor(self) -> float:
-        """Per-replicated-row multiplier for broadcast/repartition edges."""
-        if self.executor == "procs":
-            return 1.0 + self.ship_cost
-        return 1.0
 
 
 DEFAULT_PARAMS = OptimizerParams()
@@ -462,12 +442,8 @@ class Estimator:
             if shards > 1:
                 if self._is_co_partitioned(node):
                     return work / shards + 1.0
-                # broadcast: replicate the smaller side to every shard; in
-                # process mode each replicated row also pays serialization
-                broadcast = min(left, right)
-                return work / shards + (
-                    broadcast * shards * self.params.broadcast_factor()
-                )
+                # broadcast: replicate the smaller side to every shard
+                return work / shards + min(left, right) * shards
             return work
         if isinstance(node, UnionAll):
             return sum(self.estimate(part).rows for part in node.parts) / shards + rows
@@ -907,11 +883,7 @@ class _Rewriter:
             if co_partitioned:
                 work = work / shards + 1.0
             else:
-                work = work / shards + (
-                    min(left.rows, right.rows)
-                    * shards
-                    * self.params.broadcast_factor()
-                )
+                work = work / shards + min(left.rows, right.rows) * shards
         if co_partitioned:
             part = left.part
         else:

@@ -39,17 +39,11 @@ are cached per shard database, keyed by content (databases hash by content,
 and shard objects are interned), so after an update that touches one shard
 every other shard's partials are reused — work proportional to the touched
 shards, not the database.  This is the scale-out story measured by
-``benchmarks/bench_e17_sharded.py``, and because routing is stable across
-processes (:func:`repro.db.sharding.shard_of`), the same decomposition is the
-unit of distribution for later multi-process deployments.
+``benchmarks/bench_e17_sharded.py``.
 
-**Executors.** *How* the per-shard tasks run is delegated to
-:mod:`repro.engine.executors`: inline, on a thread pool (the default —
-cheap, but GIL-bound), or on a pool of long-lived worker processes
-(``REPRO_SHARD_PROCS`` / ``procs=``) that own their shards' relations
-persistently and receive plans, deltas and broadcast tables over a compact
-wire protocol — true multi-core scaling for CPU-bound operator work,
-measured by ``benchmarks/bench_e19_scaling.py``.
+**Execution.** Per-shard tasks run on a thread pool when more than one
+worker is configured, and inline in the calling thread otherwise.  The pool
+is GIL-bound: its wins come from shard-content caching, not parallelism.
 """
 
 from __future__ import annotations
@@ -59,6 +53,7 @@ import os
 import threading
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..db.database import Database
@@ -71,7 +66,6 @@ from ..db.sharding import (
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .backend import CompiledBackend, _MAX_PROVENANCE_CHAIN, _LRU
-from .executors import make_shard_executor
 from .optimize import OptimizerParams
 from .plan import (
     build_left_table as _build_left_table,
@@ -106,7 +100,7 @@ from .plan import (
     UnionAll,
 )
 
-__all__ = ["POOL_ENV", "PROCS_ENV", "ShardedBackend"]
+__all__ = ["POOL_ENV", "ShardedBackend"]
 
 Row = Tuple[object, ...]
 Rows = FrozenSet[Row]
@@ -116,9 +110,6 @@ _EMPTY_DEPENDS: FrozenSet[str] = frozenset()
 
 #: environment knob: worker threads of the per-shard pool (0 = inline)
 POOL_ENV = "REPRO_SHARD_THREADS"
-
-#: environment knob: worker *processes* (0/unset = stay on threads)
-PROCS_ENV = "REPRO_SHARD_PROCS"
 
 
 def _pool_threads_from_env(num_shards: int) -> int:
@@ -141,22 +132,6 @@ def _pool_threads_from_env(num_shards: int) -> int:
                 stacklevel=2,
             )
     return default
-
-
-def _procs_from_env() -> int:
-    """Worker processes: ``REPRO_SHARD_PROCS`` (0/unset keeps thread mode)."""
-    raw = os.environ.get(PROCS_ENV, "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            warnings.warn(
-                f"ignoring invalid {PROCS_ENV}={raw!r}; expected an integer "
-                "— staying on threads",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return 0
 
 
 class _ShardResult:
@@ -233,9 +208,6 @@ class _ShardedRun:
     # -- driving -----------------------------------------------------------------
 
     def execute(self, plan: Plan) -> Rows:
-        # the process executor encodes the whole DAG from this root (and
-        # addresses nodes by their index in its spec)
-        self.root_plan = plan
         return self.visit(plan).merged()
 
     def visit(self, node: Plan) -> _ShardResult:
@@ -282,7 +254,6 @@ class _ShardedRun:
         fn: Callable[[int], object],
         key: Optional[Tuple] = None,
         per_index_key: bool = False,
-        task: Optional[Tuple] = None,
     ) -> List[object]:
         """Evaluate ``fn(i)`` per shard, through the backend's shard cache.
 
@@ -292,11 +263,6 @@ class _ShardedRun:
         dependency is part of the key (``per_index_key`` appends the shard
         index and count for domain-split operators whose partials depend on
         position, not contents).
-
-        ``task`` declaratively describes what ``fn`` computes so the
-        process executor can ship it to a worker instead of running the
-        closure here; ``None`` marks work that must stay in-process (e.g.
-        selections whose predicate reads the merged database).
         """
         backend = self.backend
         parts: List[object] = [None] * self.n
@@ -316,20 +282,17 @@ class _ShardedRun:
             hit_indices = [i for i in range(self.n) if i not in set(pending)]
             backend._count_shard_lookups(hit_indices, pending)
         if pending:
-            executor = backend._executor
-            if executor is None:  # backend closed: degrade to inline
-                values = {i: fn(i) for i in pending}
-            else:
-                with _trace.span(
-                    "engine.shard_map",
-                    node=type(node).__name__,
-                    shards=len(pending),
-                ):
-                    values = executor.map_pending(
-                        self, node, fn, pending, keys, task
-                    )
-            for i in pending:
-                parts[i] = values[i]
+            # no pool (inline mode, or the backend was closed): run here
+            pool = backend._pool
+            with _trace.span(
+                "engine.shard_map", node=type(node).__name__, shards=len(pending)
+            ):
+                if pool is not None and len(pending) > 1:
+                    values = pool.map(fn, pending)
+                else:
+                    values = map(fn, pending)
+                for i, value in zip(pending, values):
+                    parts[i] = value
             if key is not None:
                 for i in pending:
                     backend._shard_cache_put(self.shards[i], keys[i], parts[i])
@@ -373,8 +336,7 @@ class _ShardedRun:
 
     def _scan(self, node: Scan) -> _ShardResult:
         parts = self.per_shard(
-            node, lambda i: node._rows(self.shard_ctxs[i]), key=self.base_key,
-            task=("scan",),
+            node, lambda i: node._rows(self.shard_ctxs[i]), key=self.base_key
         )
         kind, spec = node.pattern[PARTITION_COLUMN]
         partition = spec if kind == "var" else None
@@ -391,7 +353,6 @@ class _ShardedRun:
             lambda i: frozenset(make(v) for v in dom_parts[i]),
             key=self.base_key,
             per_index_key=True,
-            task=("dscan", shape),
         )
         # local: the part is a pure function of (domain, index, count) — all
         # of which ancestor cache keys carry once `indexed` propagates
@@ -411,9 +372,7 @@ class _ShardedRun:
         def fn(i: int) -> Rows:
             return frozenset(itertools.product(dom_parts[i], *rest))
 
-        parts = self.per_shard(
-            node, fn, key=self.base_key, per_index_key=True, task=("dprod",)
-        )
+        parts = self.per_shard(node, fn, key=self.base_key, per_index_key=True)
         return _ShardResult(
             parts=tuple(parts), partition=node.columns[0], disjoint=True,
             local=True, indexed=True,
@@ -444,8 +403,6 @@ class _ShardedRun:
             lambda i: frozenset(r for r in child.parts[i] if predicate(r, gctx)),
             key=key,
             per_index_key=child.indexed,
-            # predicates reading merged base relations must stay in-process
-            task=("select", node.child) if node.depends == _EMPTY_DEPENDS else None,
         )
         return _ShardResult(
             parts=tuple(parts),
@@ -470,7 +427,6 @@ class _ShardedRun:
             ),
             key=self.base_key if child.local else None,
             per_index_key=child.indexed,
-            task=("project", node.child),
         )
         partition = child.partition if child.partition in node.columns else None
         disjoint = partition is not None or (
@@ -503,7 +459,6 @@ class _ShardedRun:
                 lambda i: _join_rows(node, left.parts[i], right.parts[i]),
                 key=self.base_key if local else None,
                 per_index_key=indexed,
-                task=("join_co", node.left, node.right),
             )
             return _ShardResult(
                 parts=tuple(parts), partition=left.partition, disjoint=True,
@@ -580,15 +535,7 @@ class _ShardedRun:
                 if kept.local
                 else None
             )
-            parts = self.per_shard(
-                node, fn, key=key, per_index_key=kept.indexed,
-                task=(
-                    "join_b",
-                    node.left if keep_left else node.right,
-                    keep_left,
-                    broadcast,
-                ),
-            )
+            parts = self.per_shard(node, fn, key=key, per_index_key=kept.indexed)
             partition = kept.partition
             return _ShardResult(
                 parts=tuple(parts),
@@ -629,7 +576,6 @@ class _ShardedRun:
             parts = self.per_shard(
                 node, co_fn, key=self.base_key if local else None,
                 per_index_key=indexed,
-                task=("anti_co", node.left, node.right),
             )
             return _ShardResult(
                 parts=tuple(parts), partition=left.partition,
@@ -672,10 +618,7 @@ class _ShardedRun:
             return frozenset(r for r in left.parts[i] if left_key(r) not in keys)
 
         key = self.base_key + (broadcast,) if left.local else None
-        parts = self.per_shard(
-            node, fn, key=key, per_index_key=left.indexed,
-            task=("anti_b", node.left, broadcast),
-        )
+        parts = self.per_shard(node, fn, key=key, per_index_key=left.indexed)
         return _ShardResult(
             parts=tuple(parts), partition=left.partition,
             disjoint=left.disjoint, local=False, indexed=left.indexed,
@@ -697,7 +640,6 @@ class _ShardedRun:
             lambda i: frozenset().union(*(child.parts[i] for child in children)),
             key=self.base_key if local else None,
             per_index_key=indexed,
-            task=("union", node.parts),
         )
         partitions = {child.partition for child in children}
         partition = partitions.pop() if len(partitions) == 1 else None
@@ -722,7 +664,6 @@ class _ShardedRun:
                 lambda i: _group_count_rows(node, child.parts[i]),
                 key=self.base_key if child.local else None,
                 per_index_key=child.indexed,
-                task=("group", node.child),
             )
             return _ShardResult(
                 parts=tuple(parts), partition=child.partition, disjoint=True,
@@ -744,7 +685,6 @@ class _ShardedRun:
                 node, partial,
                 key=self.base_key + ("partial",) if child.local else None,
                 per_index_key=child.indexed,
-                task=("gpart", node.child),
             )
             totals: Dict[Row, int] = {}
             for counts in partials:
@@ -783,8 +723,7 @@ class _ShardedRun:
             )
 
         parts = self.per_shard(
-            node, fn, key=self.base_key + (merged,), per_index_key=True,
-            task=("compl", node.child, merged),
+            node, fn, key=self.base_key + (merged,), per_index_key=True
         )
         # not local: the child's merged rows are a cross-shard input that
         # ancestor keys would not carry (it is this node's own fingerprint)
@@ -829,11 +768,7 @@ class ShardedBackend(CompiledBackend):
 
     ``shards`` defaults to the ``REPRO_SHARDS`` environment knob; the
     per-shard thread pool defaults to ``min(shards, cpu count)`` workers
-    (``REPRO_SHARD_THREADS`` overrides, 0 forces inline execution).
-    ``procs`` (or ``REPRO_SHARD_PROCS``) switches per-shard execution to a
-    pool of long-lived worker *processes* — true multi-core for CPU-bound
-    operator work; see :mod:`repro.engine.executors` for the protocol and
-    the fallback ladder (threads stay the default).
+    (``REPRO_SHARD_THREADS`` overrides; 0 or 1 runs every shard inline).
     """
 
     name = "sharded"
@@ -842,7 +777,6 @@ class ShardedBackend(CompiledBackend):
         self,
         shards: Optional[int] = None,
         pool_threads: Optional[int] = None,
-        procs: Optional[int] = None,
         **kwargs,
     ):
         super().__init__(**kwargs)
@@ -886,23 +820,26 @@ class ShardedBackend(CompiledBackend):
             if pool_threads is None
             else max(0, int(pool_threads))
         )
-        self.procs = _procs_from_env() if procs is None else max(0, int(procs))
-        self._executor = make_shard_executor(
-            self.num_shards, workers, self.procs, self._memo_size
+        # None runs per-shard tasks inline in the calling thread
+        self._pool: Optional[ThreadPoolExecutor] = (
+            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-shard")
+            if workers > 1
+            else None
         )
 
     # -- cache plumbing ----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the per-shard executor (idempotent).
+        """Shut down the per-shard thread pool (idempotent).
 
         Short-lived backends (benchmark sweeps, test matrices) should call
-        this — or rely on ``__del__`` — so worker threads/processes do not
-        outlive their backend until garbage collection happens to run.
+        this — or rely on ``__del__`` — so worker threads do not outlive
+        their backend until garbage collection happens to run.  A closed
+        backend keeps working, with every shard task inline.
         """
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.close()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False)
 
     def __del__(self):  # pragma: no cover - interpreter-dependent timing
         try:
@@ -914,8 +851,6 @@ class ShardedBackend(CompiledBackend):
         super().clear_caches()
         with self._shard_memo_lock:
             self._shard_memo.clear()
-        if self._executor is not None:
-            self._executor.evict()
 
     def cache_stats(self) -> Dict[str, int]:
         stats = super().cache_stats()
@@ -926,8 +861,6 @@ class ShardedBackend(CompiledBackend):
             stats["shard_misses"] = self.shard_misses
             stats["shard_hits_by_shard"] = dict(self._shard_hits_by_shard)
             stats["shard_misses_by_shard"] = dict(self._shard_misses_by_shard)
-        if self._executor is not None:
-            stats.update(self._executor.stats())
         return stats
 
     def _count_shard_lookups(
@@ -1058,14 +991,9 @@ class ShardedBackend(CompiledBackend):
         """Partition-aware costing: co-partitioned joins parallelise across
         the shards, broadcast joins pay to replicate their smaller side —
         which steers the join reorderer towards orders that keep the
-        partition column in the join key (the repartition points).  In
-        process mode broadcasts additionally pay the serialization term
-        (rows cross a process boundary, not just a function call)."""
-        executor = self._executor
+        partition column in the join key (the repartition points)."""
         return OptimizerParams(
-            num_shards=self.num_shards,
-            partition_column=PARTITION_COLUMN,
-            executor="threads" if executor is None else executor.kind,
+            num_shards=self.num_shards, partition_column=PARTITION_COLUMN
         )
 
     def _execute_plan(self, plan: Plan, ctx: ExecutionContext) -> Rows:
@@ -1095,5 +1023,5 @@ class ShardedBackend(CompiledBackend):
         return PlanState(rows)
 
     def __repr__(self) -> str:
-        kind = "closed" if self._executor is None else self._executor.kind
-        return f"<ShardedBackend shards={self.num_shards} executor={kind}>"
+        mode = "inline" if self._pool is None else "threads"
+        return f"<ShardedBackend shards={self.num_shards} executor={mode}>"

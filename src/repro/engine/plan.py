@@ -437,9 +437,8 @@ _join_key = join_key
 def join_rows(node: "HashJoin", left_rows: Rows, right_rows: Rows) -> Rows:
     """The serial :class:`HashJoin` semantics over explicit inputs.
 
-    Shared by the sharded executor (which feeds per-shard partials) and the
-    process-mode worker loop (which receives the inputs over IPC), so both
-    evaluate joins with exactly the in-process operator's semantics.
+    Shared with the sharded executor, which feeds it per-shard partials, so
+    sharded joins have exactly the serial operator's semantics.
     """
     shared = node.shared
     if not node._right_extra:

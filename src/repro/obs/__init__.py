@@ -6,8 +6,7 @@ Three pillars, one import:
   (counters / gauges / histograms under dotted names, ``REPRO_METRICS`` knob,
   JSON snapshot + Prometheus text exposition);
 * :mod:`repro.obs.trace` — span tracing of per-transaction timelines
-  (``REPRO_TRACE`` knob, ring buffer, JSON-lines dump, worker-span
-  forwarding);
+  (``REPRO_TRACE`` knob, ring buffer, JSON-lines dump);
 * :mod:`repro.obs.profile` — per-plan-node wall-time/cardinality profiling
   merged into ``backend.explain()``.
 
@@ -26,7 +25,6 @@ from .metrics import (
     NullRegistry,
     configure as configure_metrics,
     get_registry,
-    merge_snapshots,
     metrics_enabled,
 )
 from .profile import PlanProfiler, observe_estimation
@@ -44,7 +42,6 @@ __all__ = [
     "PlanProfiler",
     "configure_metrics",
     "get_registry",
-    "merge_snapshots",
     "metrics_enabled",
     "observe_estimation",
     "span",

@@ -2,7 +2,7 @@
 
 One process-wide :class:`MetricsRegistry` (``get_registry()``) collects every
 counter the system bumps — engine plan-cache traffic, optimizer rewrites,
-shard-executor dispatches, service commit outcomes, WAL appends and fsyncs —
+shard-cache reuse, service commit outcomes, WAL appends and fsyncs —
 under one hierarchical dotted naming scheme (``engine.plan_cache.hits``,
 ``wal.fsyncs``, ``service.commit.batch_size``; the full scheme and its mapping
 onto the legacy per-component dict views is tabulated in
@@ -17,10 +17,6 @@ Design constraints, in order:
 * **Thread safety.**  Real instruments take a per-instrument lock; a snapshot
   observed concurrently with increments is a consistent per-instrument read
   (the concurrent-increment hypothesis test pins the sum exactly).
-* **Process awareness.**  Each process owns its registry; worker processes
-  don't share memory with the coordinator, so cross-process aggregation
-  happens at the snapshot layer (``merge_snapshots``) — the same way the
-  shard executor already merges worker ``stats`` replies.
 
 Export formats: :meth:`MetricsRegistry.snapshot` (plain dict, JSON-ready,
 embedded into every ``BENCH_<rev>.json`` by ``benchmarks/run_all.py``) and
@@ -33,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "METRICS_ENV",
@@ -46,7 +42,6 @@ __all__ = [
     "configure",
     "metrics_enabled",
     "get_registry",
-    "merge_snapshots",
 ]
 
 #: environment knob: ``off`` replaces the process registry with a no-op
@@ -81,12 +76,6 @@ LEGACY_KEY_MAP: Dict[str, str] = {
     # ShardedBackend.cache_stats()
     "shard_hits": "engine.shard_cache.hits",
     "shard_misses": "engine.shard_cache.misses",
-    # ProcessShardExecutor.stats()
-    "proc_tasks": "executor.tasks",
-    "proc_task_hits": "executor.task_hits",
-    "proc_fallbacks": "executor.fallbacks",
-    "proc_restarts": "executor.restarts",
-    "proc_breaker_trips": "executor.breaker_trips",
     # Store.storage_stats() / WalStorageEngine.stats()
     "wal_appends": "wal.appends",
     "fsyncs": "wal.fsyncs",
@@ -424,32 +413,3 @@ def configure(mode: str):
 def metrics_enabled() -> bool:
     return get_registry().enabled
 
-
-def merge_snapshots(*snapshots: Mapping[str, object]) -> Dict[str, object]:
-    """Sum same-named numeric metrics across per-process snapshots.
-
-    Histogram exports merge bucket-wise; later snapshots win for anything
-    non-numeric.  This is the cross-process aggregation layer: worker
-    processes serialise their registry with ``snapshot()`` and the
-    coordinator folds the dicts together.
-    """
-    merged: Dict[str, object] = {}
-    for snap in snapshots:
-        for name, value in snap.items():
-            current = merged.get(name)
-            if current is None:
-                merged[name] = value
-            elif isinstance(current, (int, float)) and isinstance(value, (int, float)):
-                merged[name] = current + value
-            elif isinstance(current, dict) and isinstance(value, dict) and "buckets" in current:
-                buckets = dict(current.get("buckets", {}))
-                for bound, count in value.get("buckets", {}).items():
-                    buckets[bound] = buckets.get(bound, 0) + count
-                merged[name] = {
-                    "count": current.get("count", 0) + value.get("count", 0),
-                    "sum": current.get("sum", 0.0) + value.get("sum", 0.0),
-                    "buckets": buckets,
-                }
-            else:
-                merged[name] = value
-    return merged

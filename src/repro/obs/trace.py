@@ -26,13 +26,6 @@ path* (ring buffer plus one JSON object per line appended to that file).
 Thread parenting is contextvar-based: spans opened on the same thread nest,
 each worker thread's outermost span is a root — so a multi-worker service
 run dumps one tree per transaction, not one interleaved soup.
-
-Process-executor workers cannot share the ring: they run in their own
-process.  The worker loop calls :func:`enable_forwarding` once, after which
-every finished span is also queued for :func:`drain_forwarded` — the executor
-piggybacks the queue on its existing reply pipe and the coordinator grafts
-the spans into its own ring with :func:`adopt`, re-parented under the span
-that dispatched the work, so a sharded re-check shows up as one tree.
 """
 
 from __future__ import annotations
@@ -55,9 +48,6 @@ __all__ = [
     "finished",
     "clear",
     "current_span_id",
-    "enable_forwarding",
-    "drain_forwarded",
-    "adopt",
     "span_forest",
     "render_tree",
 ]
@@ -148,13 +138,12 @@ class _Span:
 
 
 class Tracer:
-    """Mode + ring buffer + (optional) JSONL sink + (optional) forward queue."""
+    """Mode + ring buffer + (optional) JSONL sink."""
 
     def __init__(self, mode: str = "off", path: Optional[str] = None):
         self.mode = mode
         self.path = path
         self._ring: deque = deque(maxlen=RING_CAPACITY)
-        self._forward: Optional[List[dict]] = None
         self._lock = threading.Lock()
         self._sink = None
 
@@ -170,8 +159,6 @@ class Tracer:
     def record(self, record: dict) -> None:
         with self._lock:
             self._ring.append(record)
-            if self._forward is not None:
-                self._forward.append(record)
             if self.path is not None:
                 if self._sink is None:
                     self._sink = open(self.path, "a", encoding="utf-8")
@@ -185,53 +172,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
-            if self._forward is not None:
-                self._forward = []
-
-    # -- cross-process forwarding ---------------------------------------------
-
-    def enable_forwarding(self) -> None:
-        """Queue every finished span for :meth:`drain_forwarded` (worker mode)."""
-        with self._lock:
-            if self._forward is None:
-                self._forward = []
-
-    def drain_forwarded(self) -> List[dict]:
-        """Hand over (and forget) the queued spans — piggybacked on a reply."""
-        with self._lock:
-            if not self._forward:
-                return []
-            drained, self._forward = self._forward, []
-            return drained
-
-    def adopt(self, spans: Sequence[dict], parent_id: Optional[str] = None) -> None:
-        """Graft foreign (worker) spans into this ring, re-rooted under
-        ``parent_id`` — orphan spans get the given parent, already-parented
-        spans keep their worker-side nesting."""
-        if not spans or self.mode == "off":
-            return
-        known = {record["span_id"] for record in spans}
-        trace_id = None
-        if parent_id is not None:
-            # the usual caller adopts while the dispatching span is still
-            # open, so check the thread's current span before the ring
-            current = _current.get()
-            if current is not None and current[0] == parent_id:
-                trace_id = current[1]
-            else:
-                with self._lock:
-                    for record in reversed(self._ring):
-                        if record["span_id"] == parent_id:
-                            trace_id = record["trace_id"]
-                            break
-        for record in spans:
-            record = dict(record)
-            if record.get("parent_id") not in known:
-                record["parent_id"] = parent_id
-            if trace_id is not None:
-                record["trace_id"] = trace_id
-            record["forwarded"] = True
-            self.record(record)
 
     def close(self) -> None:
         with self._lock:
@@ -292,18 +232,6 @@ def clear() -> None:
     _TRACER.clear()
 
 
-def enable_forwarding() -> None:
-    _TRACER.enable_forwarding()
-
-
-def drain_forwarded() -> List[dict]:
-    return _TRACER.drain_forwarded()
-
-
-def adopt(spans: Sequence[dict], parent_id: Optional[str] = None) -> None:
-    _TRACER.adopt(spans, parent_id=parent_id)
-
-
 # ---------------------------------------------------------------------------
 # reading traces back
 # ---------------------------------------------------------------------------
@@ -333,10 +261,9 @@ def render_tree(spans: Sequence[dict]) -> str:
         record = node["span"]
         attrs = record.get("attrs", {})
         extras = "".join(f" {k}={v}" for k, v in sorted(attrs.items()))
-        forwarded = " [worker]" if record.get("forwarded") else ""
         lines.append(
             "  " * indent
-            + f"{record['name']}  {record['dur'] * 1000:.3f}ms{extras}{forwarded}"
+            + f"{record['name']}  {record['dur'] * 1000:.3f}ms{extras}"
         )
         for child in node["children"]:
             walk(child, indent + 1)

@@ -258,7 +258,6 @@ def build_service(
     max_retries: int = 8,
     commit_timeout: float = 60.0,
     shards: Optional[int] = None,
-    procs: Optional[int] = None,
     engine: Optional["StorageEngine"] = None,
 ) -> TransactionService:
     """A service over ``initial`` with the standard constraints and templates.
@@ -269,11 +268,10 @@ def build_service(
     admission verdicts exactly once.
 
     By default the service evaluates on the ambient backend.  Passing
-    ``shards`` (and optionally ``procs``, the ``REPRO_SHARD_PROCS``
-    equivalent) builds a *dedicated* :class:`~repro.engine.parallel.
+    ``shards`` builds a *dedicated* :class:`~repro.engine.parallel.
     ShardedBackend` owned by the service — call
     :meth:`~repro.service.scheduler.TransactionService.close` when done so
-    its process pool shuts down promptly.
+    its thread pool shuts down promptly.
 
     ``engine`` selects the store's :class:`~repro.db.engines.StorageEngine`
     (default: the ``REPRO_DURABLE``/``REPRO_WAL_DIR`` environment choice).
@@ -285,10 +283,10 @@ def build_service(
     admission, constraints = _standard_admission()
     backend = None
     owns_backend = False
-    if shards is not None or procs is not None:
+    if shards is not None:
         from ..engine.parallel import ShardedBackend
 
-        backend = ShardedBackend(shards=shards, procs=procs)
+        backend = ShardedBackend(shards=shards)
         owns_backend = True
     ambient = backend if backend is not None else active_backend()
     store = Store(

@@ -208,11 +208,27 @@ def test_invalid_repro_delta_warns_and_defaults_on(monkeypatch):
     assert any("REPRO_DELTA" in str(w.message) for w in caught)
 
 
-def test_backend_from_name_knows_the_delta_variants():
-    assert backend_from_name("compiled-delta").delta_mode == "on"
-    assert backend_from_name("compiled-nodelta").delta_mode == "off"
+def test_backend_from_name_rejects_unknown_names():
     with pytest.raises(ValueError, match="naive"):
         backend_from_name("not-a-backend")
+
+
+@pytest.mark.parametrize("mode", ["on", "off", "verify"])
+def test_backend_from_name_takes_the_delta_mode_from_repro_delta(monkeypatch, mode):
+    monkeypatch.setenv("REPRO_DELTA", mode)
+    assert backend_from_name("compiled").delta_mode == mode
+    sharded = backend_from_name("sharded")
+    try:
+        assert sharded.delta_mode == mode
+    finally:
+        sharded.close()
+
+
+@pytest.mark.parametrize("alias", ["compiled-delta", "compiled-nodelta"])
+def test_backend_from_name_has_no_delta_aliases(alias):
+    # REPRO_DELTA is the only delta knob; the old name aliases are gone
+    with pytest.raises(ValueError, match="unknown backend"):
+        backend_from_name(alias)
 
 
 def test_naive_fallback_results_are_memoised(monkeypatch):

@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    merge_snapshots,
 )
 
 
@@ -133,22 +132,6 @@ class TestExposition:
         assert list(registry.snapshot()) == ["a.first", "z.last"]
 
 
-class TestMergeSnapshots:
-    def test_numeric_metrics_sum(self):
-        merged = merge_snapshots({"a.b": 2, "c.d": 1.5}, {"a.b": 3})
-        assert merged == {"a.b": 5, "c.d": 1.5}
-
-    def test_histograms_merge_bucketwise(self):
-        one = {"h": {"count": 2, "sum": 3.0, "buckets": {"1.0": 2, "+Inf": 0}}}
-        two = {"h": {"count": 1, "sum": 9.0, "buckets": {"1.0": 0, "+Inf": 1}}}
-        merged = merge_snapshots(one, two)
-        assert merged["h"] == {
-            "count": 3,
-            "sum": 12.0,
-            "buckets": {"1.0": 2, "+Inf": 1},
-        }
-
-
 class TestLegacyKeyMap:
     def test_every_alias_is_a_valid_dotted_name(self):
         registry = MetricsRegistry()
@@ -177,6 +160,30 @@ class TestLegacyKeyMap:
             # the second evaluate of the same formula must hit the memo
             assert snap["engine.plan_cache.hits"] >= 1
             assert snap["engine.plan_cache.misses"] >= 1
+        finally:
+            metrics.configure("on")
+
+    def test_sharded_shard_cache_counters_flow_into_the_dotted_scheme(self):
+        from repro.db import Database
+        from repro.engine import ShardedBackend
+        from repro.logic import parse
+
+        try:
+            registry = metrics.configure("on")
+            backend = ShardedBackend(shards=2, pool_threads=2)
+            try:
+                formula = parse("forall x . ~E(x, x)")
+                ring = [(i, (i + 1) % 8) for i in range(8)]
+                assert backend.evaluate(formula, Database.graph(ring))
+                # one more edge over the same domain, rebuilt raw: the
+                # untouched shard's partials are cache hits
+                assert backend.evaluate(formula, Database.graph(ring + [(3, 6)]))
+                stats, snap = backend.cache_stats(), registry.snapshot()
+            finally:
+                backend.close()
+            assert stats["shard_hits"] > 0 and stats["shard_misses"] > 0
+            for legacy in ("shard_hits", "shard_misses"):
+                assert snap[LEGACY_KEY_MAP[legacy]] == stats[legacy]
         finally:
             metrics.configure("on")
 

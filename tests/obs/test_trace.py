@@ -1,7 +1,6 @@
 """Span tracing: nesting, ring buffer, JSONL dump, service span trees."""
 
 import json
-import os
 
 import pytest
 
@@ -92,27 +91,6 @@ class TestSpanBasics:
         assert record["attrs"] == {"n": 1}
 
 
-class TestAdoption:
-    def test_adopt_reparents_orphans_and_marks_them(self, tracing):
-        with trace.span("dispatch") as parent:
-            parent_id = parent.span_id
-        foreign = [
-            {"name": "worker.root", "span_id": "f.1", "parent_id": None,
-             "trace_id": "f.1", "ts": 1.0, "dur": 0.5, "pid": 999, "thread": 1},
-            {"name": "worker.child", "span_id": "f.2", "parent_id": "f.1",
-             "trace_id": "f.1", "ts": 1.1, "dur": 0.1, "pid": 999, "thread": 1},
-        ]
-        trace.adopt(foreign, parent_id=parent_id)
-        spans = trace.finished()
-        adopted = {s["span_id"]: s for s in spans if s.get("forwarded")}
-        assert adopted["f.1"]["parent_id"] == parent_id
-        assert adopted["f.2"]["parent_id"] == "f.1"  # worker nesting kept
-        # the adopted subtree joins the dispatching span's trace
-        parent_record = next(s for s in spans if s["span_id"] == parent_id)
-        assert adopted["f.1"]["trace_id"] == parent_record["trace_id"]
-        _assert_well_formed(spans)
-
-
 class TestServiceSpanTrees:
     def test_conflict_retry_produces_one_tree_per_txn(self, tracing):
         service = build_service(Database.graph([(1, 2), (2, 3)]))
@@ -187,27 +165,24 @@ class TestServiceSpanTrees:
             service.close()
 
 
-class TestWorkerForwarding:
-    def test_process_executor_spans_join_the_coordinator_tree(self, tracing):
+
+class TestShardPoolSpans:
+    def test_pooled_shard_evaluation_joins_the_caller_tree(self, tracing):
         from repro.engine.parallel import ShardedBackend
         from repro.logic import parse
 
-        backend = ShardedBackend(shards=4, procs=2)
+        backend = ShardedBackend(shards=4, pool_threads=2)
         try:
-            if backend._executor is None or backend._executor.kind != "procs":
-                pytest.skip("process executor unavailable on this platform")
             db = Database.graph([(1, 2), (2, 3), (3, 1), (4, 5)])
-            backend.evaluate(parse("forall x . ~E(x, x)"), db)
+            with trace.span("check") as outer:
+                assert backend.evaluate(parse("forall x . ~E(x, x)"), db)
             spans = trace.finished()
-            forwarded = [s for s in spans if s.get("forwarded")]
-            if not forwarded:
-                pytest.skip("pool degraded to in-process execution")
             _assert_well_formed(spans)
-            shard_maps = {
-                s["span_id"] for s in spans if s["name"] == "engine.shard_map"
-            }
-            assert all(s["name"] == "executor.task" for s in forwarded)
-            assert all(s["parent_id"] in shard_maps for s in forwarded)
-            assert all(s["pid"] != os.getpid() for s in forwarded)
+            shard_maps = [s for s in spans if s["name"] == "engine.shard_map"]
+            assert shard_maps
+            # dispatch spans open on the calling thread, inside its span;
+            # no pool thread leaves a root span of its own
+            assert all(s["trace_id"] == outer.span_id for s in spans)
+            assert [s for s in spans if s["parent_id"] is None] == [spans[-1]]
         finally:
             backend.close()

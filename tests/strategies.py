@@ -100,7 +100,6 @@ def config_text() -> str:
         f"REPRO_SEED={os.environ.get('REPRO_SEED', '<unset>')}",
         f"REPRO_BACKEND={os.environ.get('REPRO_BACKEND', '<unset>')}",
         f"REPRO_SHARDS={os.environ.get('REPRO_SHARDS', '<unset>')}",
-        f"REPRO_SHARD_PROCS={os.environ.get('REPRO_SHARD_PROCS', '<unset>')}",
         f"REPRO_DELTA={os.environ.get('REPRO_DELTA', '<unset>')}",
         f"REPRO_SERVICE_WORKERS={os.environ.get('REPRO_SERVICE_WORKERS', '<unset>')}",
     ]
@@ -286,8 +285,8 @@ def backend_matrix():
     from repro.engine import CompiledBackend, ShardedBackend
 
     matrix = [
-        ("compiled-delta", CompiledBackend(delta="on")),
-        ("compiled-nodelta", CompiledBackend(delta="off")),
+        ("compiled-delta-on", CompiledBackend(delta="on")),
+        ("compiled-delta-off", CompiledBackend(delta="off")),
         ("compiled-noopt", CompiledBackend(optimizer="off")),
     ]
     for count in SHARD_COUNTS:
@@ -295,7 +294,4 @@ def backend_matrix():
     matrix.append(
         ("sharded-2-noopt", ShardedBackend(shards=2, optimizer="off"))
     )
-    # the process-executor axis: shard evaluation shipped to worker
-    # processes over the plan/delta wire protocol (REPRO_SHARD_PROCS)
-    matrix.append(("sharded-2-procs", ShardedBackend(shards=2, procs=2)))
     return matrix
