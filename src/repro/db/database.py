@@ -319,10 +319,17 @@ class Database:
         touched = delta.touched()
         relations = dict(self._relations)
         for name in touched:
-            inserted = delta.inserted.get(name, _EMPTY_ROWS)
-            deleted = delta.deleted.get(name, _EMPTY_ROWS)
-            # normalized: deleted is a subset of the old rows, inserted is disjoint
-            relations[name] = (relations[name] - deleted) | inserted
+            inserted = delta.inserted.get(name)
+            deleted = delta.deleted.get(name)
+            # normalized: deleted is a subset of the old rows, inserted is
+            # disjoint; each set operation copies the relation, so a one-sided
+            # change (every template commit) takes exactly one
+            if deleted is None:
+                relations[name] = relations[name] | inserted
+            elif inserted is None:
+                relations[name] = relations[name] - deleted
+            else:
+                relations[name] = (relations[name] - deleted) | inserted
         # type(self), not Database: subclasses (the sharded database) stay
         # closed under functional updates and finish via _derive_from_parent
         child = type(self)._from_validated(self._schema, relations)

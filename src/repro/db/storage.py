@@ -34,7 +34,11 @@ snapshot can be handed to the logic evaluator or to a transaction object
 without conversion cost beyond freezing the sets.  All public methods take an
 internal re-entrant lock, so one store may be shared by a committing writer
 and any number of snapshot readers; the single-writer discipline (one open
-transaction at a time) is unchanged.
+transaction at a time) is unchanged.  The committed state itself is published
+as one immutable ``(version, snapshot)`` **head**, replaced in a single
+assignment once the storage engine has accepted a commit: :meth:`Store.pin`,
+:attr:`Store.version` and :meth:`Store.committed_snapshot` read the head
+without the lock, so they never wait behind a commit's WAL append or fsync.
 
 **Layering.**  Persistence lives *below* the store, behind the pluggable
 :class:`~repro.db.engines.StorageEngine` interface: the write log, the RYOW
@@ -56,7 +60,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -151,30 +155,6 @@ class TransactionStats:
             self.aborted_wall_time = 0.0
 
 
-def _fold_ops(ops: Sequence[WriteOp]) -> Delta:
-    """Fold an in-order write log into its net :class:`Delta`.
-
-    The log only records *effective* writes, so an insert later deleted (or
-    vice versa) cancels exactly.
-    """
-    inserted: Dict[str, Set[Row]] = {}
-    deleted: Dict[str, Set[Row]] = {}
-    for op in ops:
-        if op.kind == "insert":
-            doomed = deleted.get(op.relation)
-            if doomed is not None and op.row in doomed:
-                doomed.discard(op.row)
-            else:
-                inserted.setdefault(op.relation, set()).add(op.row)
-        else:
-            added = inserted.get(op.relation)
-            if added is not None and op.row in added:
-                added.discard(op.row)
-            else:
-                deleted.setdefault(op.relation, set()).add(op.row)
-    return Delta(inserted, deleted)
-
-
 class Store:
     """An in-memory transactional store over a fixed schema.
 
@@ -200,11 +180,6 @@ class Store:
     ):
         self._lock = threading.RLock()
         self._schema = schema
-        # shard count for materialised snapshots: snapshots come out as
-        # ShardedDatabase (hash-partitioned), and since apply_delta preserves
-        # shardedness, the whole MVCC version chain stays sharded — the
-        # group-commit batch delta is split per shard on application
-        self._shards = shards
         # the persistence layer: every committed batch is offered to the
         # engine before the in-memory state moves (see _commit_pending);
         # `engine=None` defers to REPRO_DURABLE/REPRO_WAL_DIR, whose default
@@ -213,41 +188,37 @@ class Store:
         self._closed = False
         if initial is not None and initial.schema != schema:
             raise StorageError("initial database has a different schema")
-        # committed rows only — an open transaction's writes live in the log
-        self._data: Dict[str, Set[Row]] = {name: set() for name in schema.relation_names}
-        # the last materialised committed snapshot plus the committed writes
-        # applied since; the next snapshot() patches the old one with the
-        # accumulated delta, so repeated snapshots along a transaction stream
-        # cost O(delta) instead of O(database) — and form the provenance
-        # chain the incremental query engine consumes
-        self._snapshot: Optional[Database] = None
-        self._since_snapshot: List[WriteOp] = []
         recovered = self._engine.recover(schema)
         if recovered is not None:
             # a durable past beats `initial`: the engine's state is what the
-            # last process acked to its clients (schema row validation is the
-            # last line of defense against a tampered/foreign log directory)
-            for name in schema.relation_names:
-                rel_schema = schema[name]
-                self._data[name] = {
-                    rel_schema.validate_tuple(row)
-                    for row in recovered.relations.get(name, ())
-                }
-            self._version = recovered.version
+            # last process acked to its clients (the Database constructor's
+            # row validation is the last line of defense against a
+            # tampered/foreign log directory)
+            relations = {
+                name: recovered.relations.get(name, ())
+                for name in schema.relation_names
+            }
+            state = Database(schema, relations)
+            version = recovered.version
         else:
-            self._version = 0
+            version = 0
+            state = initial if initial is not None else Database(schema)
             if initial is not None:
-                for name in schema.relation_names:
-                    self._data[name] = set(initial.relation(name))
-                if shards is not None and not isinstance(initial, ShardedDatabase):
-                    initial = ShardedDatabase.from_database(initial, shards)
-                self._snapshot = initial
                 # persist the starting state: the log alone cannot
                 # reconstruct rows it never saw
-                self._engine.bootstrap(
-                    {name: frozenset(rows) for name, rows in self._data.items()},
-                    self._version,
-                )
+                self._engine.bootstrap(self._frozen_relations(initial), version)
+        # `shards`: snapshots come out as ShardedDatabase (hash-partitioned),
+        # and since apply_delta preserves shardedness, the whole MVCC version
+        # chain stays sharded — the group-commit batch delta is split per
+        # shard on application
+        if shards is not None and not isinstance(state, ShardedDatabase):
+            state = ShardedDatabase.from_database(state, shards)
+        # the committed head: the version and its immutable state, replaced
+        # by one assignment per commit (after the engine accepted the batch)
+        # and read without the lock — every later snapshot is an apply_delta
+        # descendant of this one, the provenance chain the incremental
+        # query engine consumes
+        self._head: Tuple[int, Database] = (version, state)
         self._log: Optional[List[WriteOp]] = None
         # net overlay of the open log, per relation (kept in sync with _log
         # so reads and effectiveness checks are O(1) per row)
@@ -305,33 +276,18 @@ class Store:
 
     @property
     def version(self) -> int:
-        """A counter advanced by every commit that changed the store."""
-        with self._lock:
-            return self._version
+        """A counter advanced by every commit that changed the store (lock-free)."""
+        return self._head[0]
 
     def committed_snapshot(self) -> Database:
         """The last *committed* state as an immutable :class:`Database`.
 
         Never includes the open transaction's write log — this is the view a
         concurrent snapshot reader is allowed to see while a writer is
-        mid-transaction.  Cached and patched forward by the committed deltas,
-        so the cost is O(writes since the last call).
+        mid-transaction.  O(1) and lock-free: the commit that produced the
+        state built it.
         """
-        with self._lock:
-            if self._snapshot is None:
-                relations = {k: list(v) for k, v in self._data.items()}
-                self._snapshot = (
-                    ShardedDatabase(self._schema, relations, self._shards)
-                    if self._shards is not None
-                    else Database(self._schema, relations)
-                )
-                self._since_snapshot.clear()
-            elif self._since_snapshot:
-                self._snapshot = self._snapshot.apply_delta(
-                    _fold_ops(self._since_snapshot)
-                )
-                self._since_snapshot.clear()
-            return self._snapshot
+        return self._head[1]
 
     def pin(self) -> Tuple[int, Database]:
         """Atomically, the current ``(version, committed snapshot)`` pair.
@@ -339,10 +295,10 @@ class Store:
         This is the MVCC anchor: the returned database is immutable, so the
         caller can evaluate against it for as long as it likes while other
         threads commit; ``version`` tells the service which later deltas are
-        *foreign* to the pinned view.
+        *foreign* to the pinned view.  Lock-free — a pin taken while a commit
+        waits on its fsync sees the previous head.
         """
-        with self._lock:
-            return self._version, self.committed_snapshot()
+        return self._head
 
     def snapshot(self) -> Database:
         """An immutable :class:`Database` view of the current state.
@@ -354,12 +310,12 @@ class Store:
         Outside a transaction it is simply the committed snapshot.
         """
         with self._lock:
-            committed = self.committed_snapshot()
+            committed = self._head[1]
             if not self._log:  # no transaction open, or nothing written yet
                 return committed
             if self._tentative is not None and self._tentative[0] == len(self._log):
                 return self._tentative[1]
-            tentative = committed.apply_delta(_fold_ops(self._log))
+            tentative = committed.apply_delta(self._pending_delta())
             self._tentative = (len(self._log), tentative)
             return tentative
 
@@ -386,7 +342,7 @@ class Store:
                     return True
                 if validated in self._pending_del.get(relation, ()):
                     return False
-            return validated in self._data[relation]
+            return validated in self._head[1].relation(relation)
 
     def scan(self, relation: str) -> Iterable[Row]:
         """Iterate over the rows of ``relation`` (a stable copy).
@@ -397,9 +353,9 @@ class Store:
         with self._lock:
             return list(self._effective_rows(relation))
 
-    def _effective_rows(self, relation: str) -> Set[Row]:
+    def _effective_rows(self, relation: str) -> FrozenSet[Row]:
         """Committed rows overlaid with the open write log (internal, locked)."""
-        rows = self._data[relation]
+        rows = self._head[1].relation(relation)
         if self._log is None:
             return rows
         added = self._pending_add.get(relation)
@@ -454,8 +410,11 @@ class Store:
             removed = self._pending_del.get(relation)
             if removed is not None and validated in removed:
                 removed.discard(validated)  # re-insert of a row this txn deleted
-            elif validated in self._effective_rows(relation):
-                return False
+            elif (
+                validated in self._pending_add.get(relation, ())
+                or validated in self._head[1].relation(relation)
+            ):
+                return False  # already present (not deleted, as checked above)
             else:
                 self._pending_add.setdefault(relation, set()).add(validated)
             log.append(WriteOp("insert", relation, validated))
@@ -469,21 +428,43 @@ class Store:
             added = self._pending_add.get(relation)
             if added is not None and validated in added:
                 added.discard(validated)  # delete of a row this txn inserted
-            elif validated not in self._effective_rows(relation):
-                return False
+            elif (
+                validated in self._pending_del.get(relation, ())
+                or validated not in self._head[1].relation(relation)
+            ):
+                return False  # already absent (not inserted, as checked above)
             else:
                 self._pending_del.setdefault(relation, set()).add(validated)
             log.append(WriteOp("delete", relation, validated))
             return True
 
-    def apply_delta(self, delta: Delta) -> int:
+    def apply_delta(
+        self,
+        delta: Delta,
+        post_state: Optional[Database] = None,
+        base: Optional[Database] = None,
+    ) -> int:
         """Inside a transaction, apply ``delta``; returns the writes performed.
 
         Every write goes through :meth:`insert`/:meth:`delete`, so the write
         log (and therefore rollback) sees the delta tuple by tuple.
+
+        ``post_state`` is the caller's own fold of ``delta`` onto ``base``,
+        when it has already built one — the group-commit leader folds each
+        batch while validating it.  It must be folded from the committed
+        head (``base is`` the pinned snapshot) into a transaction with no
+        earlier writes; then it *is* the resulting state and becomes the
+        tentative one, so :meth:`snapshot` and the commit reuse it instead
+        of building the post-state again.  Any other ``base`` raises
+        :class:`StorageError` before anything is written.
         """
         with self._lock:
-            self._require_transaction()
+            log = self._require_transaction()
+            if post_state is not None and (base is not self._head[1] or log):
+                raise StorageError(
+                    "post_state must be folded from the committed head "
+                    "into a transaction with no earlier writes"
+                )
             changed = 0
             for name, rows in delta.deleted.items():
                 for row in rows:
@@ -491,6 +472,8 @@ class Store:
             for name, rows in delta.inserted.items():
                 for row in rows:
                     changed += self.insert(name, row)
+            if post_state is not None and self._log:
+                self._tentative = (len(self._log), post_state)
             return changed
 
     def apply_database(self, target: Database) -> None:
@@ -498,29 +481,27 @@ class Store:
 
         Used to run paper-style transactions (functions on databases) against
         the store while retaining the write log for rollback.  When ``target``
-        descends from the store's current snapshot via ``apply_delta``
-        provenance (the shape every transaction built from functional updates
-        produces), the net delta is replayed directly — O(|delta|) instead of
-        an O(database) relation-by-relation diff.
+        descends from the committed snapshot via ``apply_delta`` provenance
+        (the shape every transaction built from functional updates produces),
+        the net delta is replayed directly — O(|delta|) instead of an
+        O(database) relation-by-relation diff — and ``target`` itself becomes
+        the tentative state, which the commit publishes as the new head.
         """
         with self._lock:
             self._require_transaction()
             if target.schema != self._schema:
                 raise StorageError("target database has a different schema")
-            if (
-                self._snapshot is not None
-                and not self._since_snapshot
-                and not self._log
-            ):
-                # effective state == self._snapshot: a provenance chain from
-                # it gives the net update without reading one unchanged row
-                delta = Delta.between(self._snapshot, target)
+            if not self._log:
+                # effective state == the committed head: a provenance chain
+                # from it gives the net update without reading one unchanged row
+                head = self._head[1]
+                delta = Delta.between(head, target)
                 if delta is not None:
-                    self.apply_delta(delta)
+                    self.apply_delta(delta, post_state=target, base=head)
                     return
             for name in self._schema.relation_names:
-                current = set(self._effective_rows(name))
-                wanted = set(target.relation(name))
+                current = self._effective_rows(name)
+                wanted = target.relation(name)
                 for row in current - wanted:
                     self.delete(name, row)
                 for row in wanted - current:
@@ -603,9 +584,10 @@ class Store:
 
         With a durable engine this is the **group-commit WAL append unit**:
         the whole batch goes to the engine as one framed delta record (one
-        append, at most one fsync) *before* the in-memory state moves.  An
-        engine refusal raises with the transaction still open and the
-        committed state untouched — the commit was never acked.
+        append, at most one fsync) *before* the head moves.  An engine
+        refusal raises with the transaction still open and the committed
+        state untouched — the commit was never acked.  Only then is the new
+        head built (or the tentative state promoted) and published.
         """
         log = self._log
         assert log is not None
@@ -615,28 +597,18 @@ class Store:
         # changed the store, and the MVCC validation window keys on it
         changed = any(self._pending_add.values()) or any(self._pending_del.values())
         if changed:
-            delta = Delta(self._pending_add, self._pending_del)
-            with _trace.span(
-                "store.commit_batch", version=self._version + 1, rows=len(delta)
-            ):
-                self._engine.commit_batch(delta, self._version + 1)
-        for name, rows in self._pending_add.items():
-            self._data[name] |= rows
-        for name, rows in self._pending_del.items():
-            self._data[name] -= rows
-        if changed:
-            if (
-                self._tentative is not None
-                and self._tentative[0] == len(log)
-                and self._snapshot is not None
-                and not self._since_snapshot
-            ):
-                # the tentative snapshot the checkers just saw *is* the new
-                # committed state — promote it instead of re-patching later
-                self._snapshot = self._tentative[1]
+            version, state = self._head
+            delta = self._pending_delta()
+            with _trace.span("store.commit_batch", version=version + 1, rows=len(delta)):
+                self._engine.commit_batch(delta, version + 1)
+            if self._tentative is not None and self._tentative[0] == len(log):
+                # the tentative state the checkers just saw (or the caller
+                # handed over) *is* the new committed state — publish it
+                # instead of building the post-state again
+                state = self._tentative[1]
             else:
-                self._since_snapshot.extend(log)
-            self._version += 1
+                state = state.apply_delta(delta)
+            self._head = (version + 1, state)
         self._discard_pending()
         if changed and self._engine.wants_checkpoint():
             # snapshot checkpoints bound recovery time: the engine persists
@@ -645,18 +617,24 @@ class Store:
             # a failed checkpoint must not surface as a failed commit — the
             # log tail still reconstructs this state; recovery just replays
             # more of it
+            version, state = self._head
             try:
-                self._engine.checkpoint(
-                    {name: frozenset(rows) for name, rows in self._data.items()},
-                    self._version,
-                )
+                self._engine.checkpoint(self._frozen_relations(state), version)
             except StorageEngineError as exc:
                 logger.warning(
                     "checkpoint at version %d failed (%s); commit is durable "
                     "via the log, recovery will replay a longer tail",
-                    self._version, exc,
+                    version, exc,
                 )
                 _metrics.get_registry().counter("storage.checkpoint_errors").inc()
+
+    def _pending_delta(self) -> Delta:
+        """The open transaction's net writes as one :class:`Delta` (locked)."""
+        return Delta(self._pending_add, self._pending_del)
+
+    def _frozen_relations(self, state: Database) -> Dict[str, FrozenSet[Row]]:
+        """``state``'s relations, as the engine's bootstrap/checkpoint take them."""
+        return {name: state.relation(name) for name in self._schema.relation_names}
 
     def _discard_pending(self) -> None:
         self._log = None
@@ -677,5 +655,5 @@ class Store:
             }
             return (
                 f"Store(schema={self._schema!r}, sizes={sizes}, "
-                f"version={self._version}, in_txn={self._log is not None})"
+                f"version={self._head[0]}, in_txn={self._log is not None})"
             )

@@ -4,28 +4,35 @@ Architecture (one process, stdlib only)::
 
     clients ==TCP==> asyncio event loop ==batches==> worker-thread pool
                      (decode, batch,                 (service.execute:
-                      order responses)                MVCC + group commit)
+                      order responses;                MVCC + group commit;
+                      /health, /metrics,              /read evaluate|scan,
+                      /read contains)                 /templates, /stats)
 
-The event loop owns the sockets and never blocks: each connection reads
-whatever bytes are available, decodes **every** complete pipelined request in
-the buffer, and dispatches the whole batch concurrently into a small
-``ThreadPoolExecutor``.  The worker threads call ``service.execute``, which
-is where the design pays off — transactions dispatched from the same network
-batch reach the group-commit queue together, so the first to take the commit
-lock drains the rest as followers and the batch commits in **one**
-``apply_delta`` (one WAL append under ``REPRO_DURABLE=on``).  Responses are
-written back in request order with one flush per batch.
+The event loop owns the sockets and never blocks: each connection awaits a
+plain ``reader.read()``, decodes **every** complete pipelined request in
+the buffer, and dispatches the whole batch concurrently.  A route runs on
+the loop itself only when its work is O(1) and takes no lock that is ever
+held across I/O: ``/health`` and ``/read {"contains": ...}`` read the
+store's lock-free committed head, so neither waits on a commit's fsync.
+Everything else hops to a small ``ThreadPoolExecutor``.  The worker threads
+call ``service.execute``, which is where the design pays off — transactions
+dispatched from the same network batch reach the group-commit queue
+together, so the first to take the commit lock drains the rest as followers
+and the batch commits in **one** ``apply_delta`` (one WAL append under
+``REPRO_DURABLE=on``).  Responses are written back in request order with one
+flush per batch.
 
-Observability: every request runs under a ``serve.request`` span (opened in
-the worker thread, so the service's ``service.txn`` tree nests beneath it),
+Observability: every txn, read and template request runs under a
+``serve.request`` span (opened where the handler runs, so the service's
+``service.txn`` tree nests beneath it),
 bumps the ``serve.inflight`` gauge, and lands its wall time in a per-endpoint
 ``serve.<route>.latency_ms`` histogram; batch shape is recorded under
 ``serve.batch_size``.  ``GET /metrics`` exposes the whole registry in
 Prometheus text format.
 
-Shutdown is graceful by construction: ``stop()`` closes the listener, wakes
-every idle connection, lets in-flight batches finish (the only await points
-are socket reads — a dispatched batch always runs to its flush), then joins
+Shutdown is graceful by construction: ``stop()`` closes the listener, ends
+every idle read (``feed_eof`` on each connection's reader), lets in-flight
+batches finish (a dispatched batch always runs to its flush), then joins
 the worker pool and finally closes the service (releasing WAL handles) when
 the server owns it.
 """
@@ -94,6 +101,11 @@ _LATENCY_MS_BUCKETS = (0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 _READ_CHUNK = 64 * 1024
+
+#: ``/read`` bodies up to this size are parsed on the event loop to find the
+#: point probes it answers itself (a ``contains`` body is a relation name and
+#: one row); larger bodies go to the worker pool unparsed
+_LOOP_READ_BODY = 4096
 
 
 def default_serve_workers(fallback: int = 8) -> int:
@@ -173,8 +185,8 @@ class TransactionServer:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closing = False
-        self._shutdown: Optional[asyncio.Event] = None
-        self._connections: set = set()
+        #: connection task -> its (reader, writer), so stop() can end reads
+        self._connections: Dict[asyncio.Task, tuple] = {}
         self._templates: Dict[str, WireTemplate] = {}
         self._templates_lock = threading.Lock()
         self._formula_cache: Dict[str, object] = {}
@@ -206,7 +218,6 @@ class TransactionServer:
 
     async def start(self) -> "TransactionServer":
         self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="serve-worker"
         )
@@ -224,12 +235,21 @@ class TransactionServer:
         if self._server is None:
             return
         self._closing = True
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-        self._shutdown.set()
+        server, self._server = self._server, None
+        server.close()
+        # end every idle read: the reader sees end of file and its
+        # connection closes; a connection mid-batch finishes and flushes
+        # first, then finds the same end of file.  Reading pauses too, so
+        # bytes a client sends after this never reach the ended reader
+        for reader, writer in list(self._connections.values()):
+            writer.transport.pause_reading()
+            reader.feed_eof()
         if self._connections:
             await asyncio.gather(*list(self._connections), return_exceptions=True)
+        # only now: from Python 3.12.1 wait_closed() also waits for every
+        # accepted connection to detach, which an idle one does only after
+        # the end of file fed above
+        await server.wait_closed()
         # every dispatched batch has flushed by now; the pool is idle
         self._pool.shutdown(wait=True)
         self._pool = None
@@ -241,7 +261,7 @@ class TransactionServer:
 
     async def _on_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
-        self._connections.add(task)
+        self._connections[task] = (reader, writer)
         self._m_connections.inc()
         buffer = b""
         try:
@@ -271,7 +291,12 @@ class TransactionServer:
                     continue
                 if self._closing:
                     break
-                data = await self._read_or_shutdown(reader)
+                lag = _faults.delay("serve.read.slow")
+                if lag > 0.0:
+                    # slow-loris simulation: the *await* keeps the loop free
+                    # — only this connection's read stalls
+                    await asyncio.sleep(lag)
+                data = await reader.read(_READ_CHUNK)
                 if not data:
                     break
                 buffer += data
@@ -280,7 +305,7 @@ class TransactionServer:
         except asyncio.CancelledError:
             pass
         finally:
-            self._connections.discard(task)
+            self._connections.pop(task, None)
             self._m_connections.dec()
             writer.close()
             try:
@@ -288,41 +313,22 @@ class TransactionServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _read_or_shutdown(self, reader) -> bytes:
-        """One socket read, interruptible by shutdown (returns ``b""`` then)."""
-        lag = _faults.delay("serve.read.slow")
-        if lag > 0.0:
-            # slow-loris simulation: the *await* keeps the loop free — only
-            # this connection's read stalls
-            await asyncio.sleep(lag)
-        read_task = asyncio.ensure_future(reader.read(_READ_CHUNK))
-        shut_task = asyncio.ensure_future(self._shutdown.wait())
-        done, _pending = await asyncio.wait(
-            {read_task, shut_task}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if read_task in done:
-            shut_task.cancel()
-            return read_task.result()
-        read_task.cancel()
-        try:
-            await read_task
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        return b""
-
     # -- dispatch ---------------------------------------------------------------
 
     async def _dispatch(self, requests: List[Request]) -> List[bytes]:
         """Answer one decoded batch; order preserved, work overlapped.
 
-        Every request becomes its own coroutine and the slow ones (txn, read,
-        template registration) hop to the worker pool — so the transactions
-        of a pipelined batch enter the group-commit queue concurrently, which
-        is the whole point of batching at the connection layer.
+        Every request becomes its own coroutine and the slow ones (txn,
+        evaluate/scan reads, template registration, stats) hop to the worker
+        pool — so the transactions of a pipelined batch enter the
+        group-commit queue concurrently, which is the whole point of batching
+        at the connection layer.  A batch of one needs no gather.
         """
         self._m_batches.inc()
         self._m_batch_requests.inc(len(requests))
         self._m_batch_size.observe(len(requests))
+        if len(requests) == 1:
+            return [await self._respond(requests[0])]
         return await asyncio.gather(*(self._respond(r) for r in requests))
 
     async def _respond(self, request: Request) -> bytes:
@@ -405,7 +411,9 @@ class TransactionServer:
                 200, text.encode("utf-8"), content_type="text/plain; version=0.0.4"
             )
         if path == "/stats" and method == "GET":
-            return json_response(200, self._stats_payload())
+            # observability() reads the storage engine's counters under the
+            # store lock, which a commit holds across its fsync
+            return await self._in_worker(self._stats)
         if path == "/templates" and method == "GET":
             with self._templates_lock:
                 listed = [t.describe() for t in self._templates.values()]
@@ -415,12 +423,19 @@ class TransactionServer:
         if path == "/txn" and method == "POST":
             return await self._in_worker(self._execute_txn, request)
         if path == "/read" and method == "POST":
-            return await self._in_worker(self._execute_read, request)
+            if len(request.body) > _LOOP_READ_BODY:
+                return await self._in_worker(self._execute_read, request)
+            payload = request.json()
+            if isinstance(payload, dict) and "contains" in payload:
+                # a point probe of the lock-free committed head: O(1) work
+                # and no lock held across I/O, so it is answered on the loop
+                return self._read(payload)
+            return await self._in_worker(self._read, payload)
         self._m_errors.inc()
         return error_response(404, f"no route for {method} {path}")
 
-    async def _in_worker(self, fn, request: Request) -> bytes:
-        future = self._loop.run_in_executor(self._pool, fn, request)
+    async def _in_worker(self, fn, *args) -> bytes:
+        future = self._loop.run_in_executor(self._pool, fn, *args)
         try:
             return await future
         except asyncio.CancelledError:
@@ -432,7 +447,7 @@ class TransactionServer:
             )
             raise
 
-    # -- handlers (worker threads) ----------------------------------------------
+    # -- handlers (worker threads; point reads also on the loop) -----------------
 
     def _register_template(self, request: Request) -> bytes:
         with _trace.span("serve.request", route="templates"):
@@ -501,7 +516,14 @@ class TransactionServer:
         return json_response(200, _outcome_payload(outcome))
 
     def _execute_read(self, request: Request) -> bytes:
-        payload = request.json()
+        return self._read(request.json())
+
+    def _read(self, payload: object) -> bytes:
+        """Answer one ``/read`` body against a pinned snapshot.
+
+        ``contains`` runs on the event loop (see :meth:`_handle`); ``scan``
+        and ``evaluate`` run in a worker thread.
+        """
         if not isinstance(payload, dict) or len(payload) != 1:
             raise ProtocolError(
                 "read body must be one of {'contains': [rel, row]}, "
@@ -554,11 +576,13 @@ class TransactionServer:
                 self._formula_cache[source] = formula
         return formula
 
-    def _stats_payload(self) -> Dict[str, object]:
+    def _stats(self) -> bytes:
         observed = self.service.observability()
         # commit-log tags and other caller objects are not JSON-safe; the
         # round trip below drops nothing the wire can represent anyway
-        return json.loads(json.dumps(observed, default=repr, sort_keys=True))
+        return json_response(
+            200, json.loads(json.dumps(observed, default=repr, sort_keys=True))
+        )
 
 
 def _outcome_payload(outcome: TxnOutcome) -> Dict[str, object]:

@@ -17,7 +17,9 @@ multi-client transaction processor.  The lifecycle of one client transaction:
    constraint work, composes the surviving deltas with
    :meth:`Delta.then <repro.db.delta.Delta.then>`, and applies the whole
    batch to the canonical store in **one** ``apply_delta`` — one write-log
-   pass, one snapshot patch, one version bump, amortised over the batch.
+   pass, one version bump, amortised over the batch.  The post-state the
+   leader folded while validating becomes the store's new head, so each
+   batch's post-state is built once.
    With a durable store (``REPRO_DURABLE=on``) the batch is also the WAL
    unit: one framed delta append and at most one fsync cover every commit in
    the batch, and outcomes are reported to clients only after the storage
@@ -245,7 +247,7 @@ class TxnOutcome:
 class _CommitRequest:
     __slots__ = (
         "handle", "delta", "template", "params", "work", "serial", "tag",
-        "done", "status", "reason", "version", "retryable",
+        "done", "status", "reason", "version", "retryable", "post_state",
     )
 
     def __init__(self, handle, delta, template, params, work, serial, tag=None):
@@ -261,6 +263,9 @@ class _CommitRequest:
         self.reason = ""
         self.version = -1
         self.retryable = False
+        #: the post-state a runtime constraint check built, reused as the
+        #: leader's next running state instead of folding the delta again
+        self.post_state: Optional[Database] = None
 
 
 class TransactionService:
@@ -614,7 +619,11 @@ class TransactionService:
                         req_span.annotate(status="committed")
                     survivors.append(request)
                     if not effective.is_empty():
-                        running = running.apply_delta(effective)
+                        running = (
+                            request.post_state
+                            if request.post_state is not None
+                            else running.apply_delta(effective)
+                        )
                         batch_delta = batch_delta.then(effective)
                 if not batch_delta.is_empty():
                     with _trace.span(
@@ -624,7 +633,13 @@ class TransactionService:
                     ):
                         self.store.begin()
                         try:
-                            self.store.apply_delta(batch_delta)
+                            # `running` is already the batch's post-state,
+                            # folded from the head pinned above: handing it
+                            # over makes it the new head, so the batch is
+                            # folded once, not again by the store
+                            self.store.apply_delta(
+                                batch_delta, post_state=running, base=current
+                            )
                             self.store.commit_unchecked()
                         except Exception as exc:  # noqa: BLE001 - classified below
                             # the storage engine (or the apply itself) refused
@@ -750,6 +765,7 @@ class TransactionService:
                     request.status = "aborted"
                     request.reason = f"constraint {constraint.name!r} violated"
                     return None
+            request.post_state = candidate
         return effective
 
     # -- observability ---------------------------------------------------------------

@@ -238,6 +238,24 @@ class TestApplyDelta:
         assert via_delta.canonical_key() == fresh.canonical_key()
         assert dict(via_delta.index("E", 0)) == dict(fresh.index("E", 0))
 
+    @pytest.mark.parametrize(
+        "inserted, deleted, expected",
+        [
+            ({(2, 3), (3, 0)}, set(), {(0, 1), (1, 2), (2, 3), (3, 0)}),
+            (set(), {(0, 1)}, {(1, 2)}),
+        ],
+        ids=["insert-only", "delete-only"],
+    )
+    def test_one_sided_delta_equals_a_fresh_build(self, inserted, deleted, expected):
+        db = Database.graph([(0, 1), (1, 2)])
+        db.index("E", 0)  # a cache to patch, as on a served head
+        applied = db.apply_delta(Delta(inserted={"E": inserted}, deleted={"E": deleted}))
+        fresh = Database.graph(expected)
+        assert applied == fresh
+        assert applied.relation("E") == fresh.relation("E")
+        assert dict(applied.index("E", 0)) == dict(fresh.index("E", 0))
+        assert db.relation("E") == {(0, 1), (1, 2)}  # the parent is untouched
+
     def test_noop_delta_returns_self(self):
         db = Database.graph([(0, 1)])
         assert db.apply_delta(Delta(inserted={"E": [(0, 1)]})) is db

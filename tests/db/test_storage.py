@@ -4,6 +4,7 @@ import pytest
 
 from repro.db import (
     Database,
+    Delta,
     GRAPH_SCHEMA,
     MemoryEngine,
     Schema,
@@ -158,6 +159,31 @@ class TestTransactions:
         store.commit()
         assert store.snapshot() == target
 
+    def test_post_state_folded_from_the_head_becomes_the_head(self, store):
+        _version, head = store.pin()
+        delta = Delta(inserted={"E": {(3, 4)}}, deleted={"E": {(1, 2)}})
+        post = head.apply_delta(delta)
+        store.begin()
+        store.apply_delta(delta, post_state=post, base=head)
+        store.commit_unchecked()
+        assert store.committed_snapshot() is post
+        assert store.committed_snapshot() == Database(GRAPH_SCHEMA, {"E": store.scan("E")})
+
+    def test_post_state_from_another_base_is_refused(self, store):
+        # same sizes as the true post-state, different rows: only an exact
+        # provenance check can tell them apart
+        _version, head = store.pin()
+        stale = Database.graph([(1, 2), (5, 6)])
+        delta = Delta(inserted={"E": {(3, 4)}}, deleted={"E": {(1, 2)}})
+        store.begin()
+        with pytest.raises(StorageError):
+            store.apply_delta(delta, post_state=stale.apply_delta(delta), base=stale)
+        assert store.snapshot() is head  # nothing was written
+        store.insert("E", (7, 7))
+        with pytest.raises(StorageError):  # the log is no longer empty
+            store.apply_delta(delta, post_state=head.apply_delta(delta), base=head)
+        store.rollback()
+
     def test_commit_unchecked_skips_checkers(self, store):
         store.register_checker("never", lambda db: False)
         store.begin()
@@ -270,3 +296,140 @@ class TestLifecycle:
         for key in ("wal_appends", "fsyncs", "checkpoints", "recovered_batches"):
             assert stats[key] == 0
         store.close()
+
+
+class TestCommittedHead:
+    """The lock-free ``(version, snapshot)`` head under concurrent pins.
+
+    One writer thread runs a seeded stream mixing every way a transaction
+    can end — ``commit`` (accepted and refused by a checker),
+    ``commit_unchecked``, ``apply_database`` with and without a provenance
+    chain, ``rollback`` and writes that cancel out — while reader threads
+    pin the head.  Every pin must be the state after exactly ``version``
+    commits, and after each commit the head must equal the state rebuilt
+    from ``scan()``.
+    """
+
+    READERS = 3
+
+    def _run_stream(self, store, seed, steps=120):
+        import random
+        import threading
+        import time
+
+        rng = random.Random(seed)
+        model = set(store.committed_snapshot().relation("E"))
+        history = {store.version: frozenset(model)}
+        pins = []
+        done = threading.Event()
+
+        def reader():
+            while not done.is_set():
+                pins.append(store.pin())
+                time.sleep(0.0002)  # yield the GIL to the writer
+
+        def edges(count):
+            return [(rng.randrange(12), rng.randrange(12)) for _ in range(count)]
+
+        def write(rows_in, rows_out):
+            # the model follows the store's RYOW semantics write by write
+            wanted = set(model)
+            for row in rows_out:
+                store.delete("E", row)
+                wanted.discard(row)
+            for row in rows_in:
+                store.insert("E", row)
+                wanted.add(row)
+            return wanted
+
+        store.register_checker("no-loops", lambda db: all(a != b for a, b in db.edges))
+        readers = [threading.Thread(target=reader) for _ in range(self.READERS)]
+        for thread in readers:
+            thread.start()
+        try:
+            for _ in range(steps):
+                kind = rng.choice(
+                    ["commit", "unchecked", "provenance", "diff", "rollback", "cancel"]
+                )
+                present = sorted(model)
+                doomed = rng.sample(present, min(len(present), rng.randrange(3)))
+                if kind == "provenance":
+                    state = store.committed_snapshot()
+                    target = state
+                    for row in edges(2):
+                        target = target.insert("E", row)
+                    for row in doomed:
+                        target = target.delete("E", row)
+                    store.begin()
+                    store.apply_database(target)
+                    store.commit_unchecked()
+                    wanted = set(target.relation("E"))
+                elif kind == "diff":
+                    target = Database.graph(
+                        [row for row in edges(6) if row[0] != row[1]]
+                    )
+                    store.begin()
+                    store.apply_database(target)
+                    store.commit()
+                    wanted = set(target.relation("E"))
+                elif kind == "cancel":
+                    row = (20 + rng.randrange(5), 30)
+                    store.begin()
+                    store.insert("E", row)
+                    store.delete("E", row)
+                    store.commit_unchecked()
+                    wanted = set(model)
+                else:
+                    store.begin()
+                    wanted = write(edges(rng.randrange(1, 4)), doomed)
+                    if kind == "rollback":
+                        store.rollback()
+                        wanted = set(model)
+                    elif kind == "unchecked":
+                        store.commit_unchecked()
+                    else:
+                        try:
+                            store.commit()
+                        except TransactionAborted:
+                            assert any(a == b for a, b in wanted)
+                            wanted = set(model)
+                before = max(history)
+                if wanted != model:
+                    assert store.version == before + 1, kind
+                else:
+                    assert store.version == before, kind
+                model = wanted
+                history[store.version] = frozenset(model)
+                time.sleep(0.0002)  # let the readers pin this head
+                rebuilt = Database(GRAPH_SCHEMA, {"E": store.scan("E")})
+                assert store.committed_snapshot() == rebuilt
+                assert store.committed_snapshot().relation("E") == model
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join()
+        assert len(history) > steps // 4  # the stream really advanced the head
+        assert len({version for version, _ in pins}) > 1  # pins interleaved
+        for version, snapshot in pins:
+            assert snapshot.relation("E") == history[version], version
+        return model
+
+    def test_pins_match_the_state_after_exactly_version_commits(self):
+        store = Store(GRAPH_SCHEMA, Database.graph([(1, 2), (2, 3)]))
+        self._run_stream(store, seed=3)
+
+    def test_recovered_store_keeps_the_head_consistent(self, tmp_path):
+        from repro.db import WalStorageEngine
+
+        engine = WalStorageEngine(str(tmp_path), checkpoint_interval=7)
+        with Store(GRAPH_SCHEMA, Database.graph([(1, 2)]), engine=engine) as store:
+            model = self._run_stream(store, seed=5)
+            version = store.version
+        engine = WalStorageEngine(str(tmp_path), checkpoint_interval=7)
+        with Store(GRAPH_SCHEMA, engine=engine) as reborn:
+            assert reborn.pin()[0] == version
+            assert reborn.committed_snapshot().relation("E") == model
+            assert reborn.committed_snapshot() == Database(
+                GRAPH_SCHEMA, {"E": reborn.scan("E")}
+            )
+            self._run_stream(reborn, seed=6)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import pytest
 
 from repro import faults
+from repro.db import WalStorageEngine
 from repro.serve import ServeClient, ServerThread, preregister
 from repro.serve.client import encode_request
 from repro.serve.server import (
@@ -47,6 +49,12 @@ class TestShedding:
         assert status == 503
         assert "overloaded" in payload["error"]
         assert payload["retry_after"] >= 1
+
+    def test_point_reads_answered_on_the_loop_are_shed_too(self, shedding_server):
+        _, client = shedding_server
+        status, payload = client.request("POST", "/read", {"contains": ["E", [0, 1]]})
+        assert status == 503
+        assert "overloaded" in payload["error"]
 
     def test_retry_after_header_is_on_the_wire(self, shedding_server):
         harness, _ = shedding_server
@@ -177,6 +185,41 @@ class TestDisconnects:
         status, outcome = client.submit("link-forward", [530, 531])
         assert status == 200
         assert outcome["status"] == "committed"
+
+
+class TestProbesDuringFsyncStall:
+    def test_health_answers_while_a_commit_sits_in_a_wal_stall(self, tmp_path):
+        # the group-commit leader holds the store lock across the WAL append;
+        # /health reads the lock-free committed head, so a probe on another
+        # connection must not wait out the stall (nor freeze the event loop)
+        engine = WalStorageEngine(str(tmp_path), checkpoint_interval=0)
+        service = build_service(
+            forward_graph(40, 2, seed=9), commit_timeout=30.0, engine=engine
+        )
+        with serving(service) as (_service, harness, writer):
+            with ServeClient(*harness.address) as prober:
+                before = prober.health()["version"]
+                faults.install(
+                    faults.FaultPlan().site("wal.io.slow", latency=1.0, exc="none")
+                )
+                outcomes = []
+                committer = threading.Thread(
+                    target=lambda: outcomes.append(
+                        writer.submit("link-forward", [540, 541])
+                    )
+                )
+                committer.start()
+                time.sleep(0.3)  # the commit is now inside its 1 s stall
+                started = time.perf_counter()
+                health = prober.health()
+                elapsed = time.perf_counter() - started
+                stalled = committer.is_alive()
+                committer.join(timeout=10.0)
+        assert stalled, "the commit finished before the probe; no stall was seen"
+        assert elapsed < 0.2, f"/health took {elapsed * 1e3:.0f} ms behind the stall"
+        assert health["version"] == before  # the stalled batch is not yet the head
+        (status, outcome), = outcomes
+        assert status == 200 and outcome["status"] == "committed"
 
 
 def _metric_value(text: str, name: str) -> float:

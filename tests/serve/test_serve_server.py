@@ -150,6 +150,30 @@ class TestBatching:
         assert stats["max_batch"] >= count
         assert stats["batches"] == batches_before + 1
 
+    def test_mixed_batch_answers_in_request_order(self, served):
+        # point reads are answered on the event loop, evaluate/scan/txn in
+        # the worker pool: one pipelined flush mixing them must still get
+        # its responses back in request order
+        _service, _harness, client = served
+        replies = client.pipeline([
+            ("POST", "/txn", {"template": "link-forward", "params": [760, 761]}),
+            ("POST", "/read", {"contains": ["E", [760, 761]]}),
+            ("POST", "/read", {"evaluate": {"formula": "exists y . E(x, y)",
+                                            "assignment": {"x": 760}}}),
+            ("GET", "/health", None),
+            ("POST", "/read", {"contains": ["E", [761, 760]]}),
+            ("POST", "/read", {"scan": "E"}),
+        ])
+        assert [status for status, _ in replies] == [200] * 6
+        txn, probe, evaluated, health, absent, scan = (p for _s, p in replies)
+        assert txn["status"] == "committed"
+        assert isinstance(probe["result"], bool)
+        assert isinstance(evaluated["result"], bool)
+        assert health["status"] == "ok"
+        assert absent["result"] is False
+        assert isinstance(scan["result"], list)
+        assert client.contains("E", [760, 761])["result"] is True
+
     def test_batch_metrics_are_recorded(self, served):
         _service, _harness, client = served
         client.submit_many(
@@ -184,6 +208,10 @@ class TestFailureHandling:
         assert client.request("POST", "/txn", {"template": "unlink"})[0] == 400
         assert client.request("POST", "/read", {"scan": "NoSuchRelation"})[0] == 400
         assert client.request("POST", "/read", {"peek": "E"})[0] == 400
+        assert client.request(
+            "POST", "/read", {"contains": ["NoSuchRelation", [1, 2]]}
+        )[0] == 400
+        assert client.request("POST", "/read", {"contains": "E"})[0] == 400
         # ...and the service still commits fine afterwards
         status, outcome = client.submit("link-forward", [950, 951])
         assert status == 200 and outcome["status"] == "committed"
@@ -250,6 +278,39 @@ class TestLifecycle:
         harness.stop()
         # stop() must have closed the owned service (idempotent close proves it)
         assert service._owns_store is False
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            leaked = set(threading.enumerate()) - baseline
+            if not leaked:
+                break
+            time.sleep(0.05)
+        assert not leaked, f"threads leaked past shutdown: {leaked}"
+
+    def test_stop_ends_an_idle_keep_alive_connection(self):
+        baseline = set(threading.enumerate())
+        service = build_service(forward_graph(30, 2, seed=6), commit_timeout=30.0)
+        harness = ServerThread(service, owns_service=True).start()
+        preregister(harness.server)
+        host, port = harness.address
+        with socket.create_connection((host, port), timeout=10.0) as idle:
+            idle.sendall(encode_request("GET", "/health"))
+            blob = b""
+            while b"\r\n\r\n" not in blob:
+                blob += idle.recv(65536)
+            assert blob.startswith(b"HTTP/1.1 200")
+            # the connection stays open and idle: the server sits in a read
+            started = time.monotonic()
+            harness.stop(timeout=5.0)
+            assert time.monotonic() - started < 5.0
+            idle.settimeout(5.0)
+            rest = blob.split(b"\r\n\r\n", 1)[1]
+            while True:
+                chunk = idle.recv(65536)
+                if not chunk:
+                    break  # end of file: the server closed its side
+                rest += chunk
+            assert b"HTTP/1.1" not in rest  # no response beyond the health reply
+        assert service._owns_store is False  # stop() closed the owned service
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
             leaked = set(threading.enumerate()) - baseline

@@ -30,6 +30,37 @@ class TestOutcomes:
         assert outcome.committed
         assert service.snapshot().relation("E") == frozenset({(1, 2), (2, 3), (3, 4)})
 
+    @pytest.mark.parametrize(
+        "template, params, runtime",
+        [("unlink", (1, 2), False), ("link-forward", (3, 4), False),
+         (None, (), True)],
+        ids=["static", "guarded", "runtime-checked"],
+    )
+    def test_commit_builds_its_post_state_once(
+        self, service, monkeypatch, template, params, runtime
+    ):
+        # the leader's folded running state becomes the store's head: one
+        # Database.apply_delta per committed batch, whatever the admission mode
+        folds = []
+        original = Database.apply_delta
+
+        def counted(db, delta):
+            folds.append(delta)
+            return original(db, delta)
+
+        monkeypatch.setattr(Database, "apply_delta", counted)
+        row = (1, 2) if template == "unlink" else (3, 4)
+        write = "delete" if template == "unlink" else "insert"
+        outcome = service.execute(
+            lambda txn: getattr(txn, write)("E", row),
+            template=template, params=params,
+        )
+        assert outcome.committed
+        assert service.stats.runtime_checks == (len(service.constraints) if runtime else 0)
+        head = service.store.committed_snapshot()
+        assert (row in head.relation("E")) == (write == "insert")
+        assert len(folds) == 1
+
     def test_read_only_fast_path(self, service):
         before = service.store.version
         outcome = service.execute(lambda txn: txn.contains("E", (1, 2)))
